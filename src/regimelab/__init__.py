@@ -15,11 +15,12 @@ from .continuation import (
     attack_mass,
     best_response_cutoff,
     closed_form_thresholds,
+    continuation_welfare,
     regime_fall_threshold,
     solve_iterated_dominance,
     success_prob_given_signal,
 )
-from .cli import continuation_welfare, run
+from .cli import run
 from .errors import BoundaryError, ConvergenceError, DomainError, RegimeLabError
 from .model import (
     AgentAction,

@@ -11,34 +11,34 @@ Six subcommands map onto the solver modules:
 
 Outputs are CSV (default) or JSON, to stdout or --out. Numbers are written
 with 9 significant digits; CSV uses a header row, UTF-8, LF line endings.
-Theta grids are written lo:hi:step with both endpoints included and the
-count snapped to whole steps, or as a single number. A flat key=value file
-passed via --config supplies defaults; explicit flags win. Exit codes:
-0 success, 1 verification failures, 2 usage or domain errors.
+Theta grids are written lo:hi:step, whose points never pass hi (hi itself
+is included when the span is a whole number of steps), or as a single
+number. Every number must be finite. A flat key=value file passed via
+--config supplies defaults; explicit flags win. Exit codes: 0 success,
+1 verification failures, 2 usage or domain errors.
 
 REGIME_LAB_THREADS (optional) caps the worker threads used to fan out
-sweep and simulation rows; output order never depends on it.
+simulate's theta points; output order never depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from enum import Enum
+from itertools import repeat, starmap
 from typing import Callable, Sequence
 
-from .continuation import (
-    SolverConfig,
-    attack_mass,
-    closed_form_thresholds,
-    solve_iterated_dominance,
-)
+import numpy as np
+
+from .continuation import SolverConfig, closed_form_thresholds, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError
-from .model import ModelParams, cost, validate_params
+from .model import ModelParams, validate_params
 from .signaling import (
     aggregate_attack_no_intervention,
     classify_region,
@@ -93,29 +93,18 @@ _COLUMNS = {
 }
 
 
-def continuation_welfare(params: ModelParams, r: float, theta: float) -> float:
-    """Policymaker welfare when r is exogenous and public.
-
-    The regime is abandoned at or below the fall threshold (paying only the
-    policy cost); above it the policymaker nets theta minus the equilibrium
-    attack minus the cost. Used as the no-signalling benchmark in sweeps.
-    """
-    eq = closed_form_thresholds(params, r)
-    c = cost(params, r)
-    if theta <= eq.theta_cutoff:
-        return -c
-    return theta - attack_mass(params, eq.x_cutoff, theta) - c
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
 
 def _parse_float(text: str, label: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DomainError(f"{label} must be a number, got {text!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{label} must be finite, got {text!r}")
+    return value
 
 
 def _parse_int(text: str, label: str) -> int:
@@ -145,7 +134,12 @@ def _parse_theta_spec(text: str) -> list[float]:
         raise DomainError("theta grid step must be positive")
     if hi < lo:
         raise DomainError("theta grid must have lo <= hi")
-    count = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise DomainError(f"theta grid span must be finite, got {text!r}")
+    # A span that is a whole number of steps up to rounding keeps its last
+    # point; a real fraction of a step is dropped, so no point passes hi.
+    count = math.floor(steps + 1e-9 * max(1.0, steps))
     return [lo + k * step for k in range(count + 1)]
 
 
@@ -195,37 +189,42 @@ class _Options:
 # output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _json_value(value):
     if isinstance(value, float):
         return float(f"{value:.9g}")
+    if isinstance(value, Enum):
+        return value.value
     return value
+
+
+def _json_text(payload) -> str:
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("result is not finite; JSON has no encoding for it")
 
 
 def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None) -> None:
     columns = _COLUMNS[command]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        buf.write(",".join(columns) + "\n")
+        if rows:
+            # Every row of a table has the cell types of the first one.
+            template = ",".join(
+                "{:.9g}" if isinstance(v, float)
+                else "{.value}" if isinstance(v, Enum)
+                else "{}"
+                for v in rows[0]
+            )
+            buf.writelines(starmap((template + "\n").format, rows))
         text = buf.getvalue()
     else:
         payload = [
             {col: _json_value(v) for col, v in zip(columns, row)} for row in rows
         ]
-        if command in ("continuation", "signaling") and len(payload) == 1:
-            text = json.dumps(payload[0], indent=2) + "\n"
-        else:
-            text = json.dumps(payload, indent=2) + "\n"
+        single = command in ("continuation", "signaling") and len(payload) == 1
+        text = _json_text(payload[0] if single else payload)
     _write_text(text, out)
 
 
@@ -304,7 +303,7 @@ def _cmd_continuation(opts: _Options) -> int:
             "theta_cutoff": _json_value(eq.theta_cutoff),
             "solver": solver,
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", out)
+        _write_text(_json_text(payload), out)
     else:
         _emit_rows("continuation", [row], "csv", out)
     return 0
@@ -328,27 +327,37 @@ def _cmd_signaling(opts: _Options) -> int:
     return 0
 
 
+# Slices of the theta grid bound each numpy temporary to 128 KiB; whole-grid
+# temporaries of a dense sweep fragment the heap and raise its peak memory.
+_SWEEP_SLICE = 16_384
+
+
+def _sweep_rows(
+    params: ModelParams, r_primes: list[float], thetas: list[float]
+) -> list[tuple]:
+    """welfare-sweep rows: one block per r_prime, evaluated a grid slice at a time."""
+    rows = []
+    for r_prime in r_primes:
+        eq = solve_signaling(params, r_prime)
+        for start in range(0, len(thetas), _SWEEP_SLICE):
+            part = thetas[start : start + _SWEEP_SLICE]
+            grid = np.array(part)
+            rows += zip(
+                repeat(params.sigma),
+                repeat(params.r_lower),
+                repeat(r_prime),
+                part,
+                classify_region(eq, grid),
+                aggregate_attack_no_intervention(params, eq, grid).tolist(),
+                ex_post_welfare(params, eq, grid).tolist(),
+            )
+    return rows
+
+
 def _cmd_welfare_sweep(opts: _Options) -> int:
     params = _params_from(opts)
     r_primes = _parse_float_list(opts.require("rprime"), "rprime")
-    thetas = _parse_theta_spec(opts.require("theta"))
-
-    def block(r_prime: float) -> list[tuple]:
-        eq = solve_signaling(params, r_prime)
-        return [
-            (
-                params.sigma,
-                params.r_lower,
-                r_prime,
-                theta,
-                classify_region(eq, theta).value,
-                aggregate_attack_no_intervention(params, eq, theta),
-                ex_post_welfare(params, eq, theta),
-            )
-            for theta in thetas
-        ]
-
-    rows = [row for rows_block in _ordered_map(block, r_primes) for row in rows_block]
+    rows = _sweep_rows(params, r_primes, _parse_theta_spec(opts.require("theta")))
     _emit_rows("welfare-sweep", rows, _format_from(opts), opts.get("out"))
     return 0
 
@@ -360,28 +369,20 @@ def _cmd_compare(opts: _Options) -> int:
     thetas = _parse_theta_spec(opts.require("theta"))
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
     comparison = compare_welfare(params, r_low, r_high, thetas, tol)
-    eq_low = solve_signaling(params, r_low)
-    rows = [
-        (
-            params.sigma,
-            params.r_lower,
-            r_low,
-            theta,
-            region.value,
-            aggregate_attack_no_intervention(params, eq_low, theta),
-            u_low,
-            r_high,
-            u_high,
-            verdict.value,
-        )
-        for theta, u_low, u_high, region, verdict in zip(
+    rows = list(
+        zip(
+            repeat(params.sigma),
+            repeat(params.r_lower),
+            repeat(r_low),
             comparison.theta_grid,
-            comparison.u_low,
-            comparison.u_high,
             comparison.region_low,
+            comparison.attack_low,
+            comparison.u_low,
+            repeat(r_high),
+            comparison.u_high,
             comparison.verdicts,
         )
-    ]
+    )
     _emit_rows("compare", rows, _format_from(opts), opts.get("out"))
     return 0
 
@@ -452,12 +453,12 @@ def _cmd_verify(opts: _Options) -> int:
     out = opts.get("out")
     if fmt == "csv":
         rows = [
-            (res.name, res.passed, res.points, res.max_error, res.tolerance)
+            (res.name, str(res.passed).lower(), res.points, res.max_error, res.tolerance)
             for res in report.results
         ]
         _emit_rows("verify", rows, "csv", out)
     else:
-        _write_text(json.dumps(report.to_dict(), indent=2) + "\n", out)
+        _write_text(_json_text(report.to_dict()), out)
     if report.n_checks == 0:
         print("verify: 0 checks", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams
+from .model import ModelParams, clamp_unit, cost, quiet_overflow
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,39 @@ def closed_form_thresholds(params: ModelParams, r: float) -> ContinuationEquilib
     return ContinuationEquilibrium(r=r, x_cutoff=x_cutoff, theta_cutoff=theta_cutoff)
 
 
+@quiet_overflow
 def attack_mass(params: ModelParams, x_cutoff: float, theta: float) -> float:
     """Mass of agents whose signal lands at or below the cutoff, given theta.
 
     Signals are theta + eps with eps uniform on [-sigma, sigma], so the mass
     is the clamped linear ramp (x_cutoff - theta + sigma) / (2*sigma).
+    x_cutoff and theta may be arrays that broadcast together.
     """
-    raw = (x_cutoff - theta + params.sigma) / (2.0 * params.sigma)
-    return min(1.0, max(0.0, raw))
+    return clamp_unit((x_cutoff - theta + params.sigma) / (2.0 * params.sigma))
 
 
+def continuation_welfare(params: ModelParams, r: float, theta: float) -> float:
+    """Policymaker welfare when r is exogenous and public.
+
+    The regime is abandoned at or below the fall threshold (paying only the
+    policy cost); above it the policymaker nets theta minus the equilibrium
+    attack minus the cost. Used as the no-signalling benchmark in sweeps.
+    """
+    eq = closed_form_thresholds(params, r)
+    c = cost(params, r)
+    if theta <= eq.theta_cutoff:
+        return -c
+    return theta - attack_mass(params, eq.x_cutoff, theta) - c
+
+
+@quiet_overflow
 def success_prob_given_signal(params: ModelParams, theta_cutoff: float, x: float) -> float:
     """Probability the regime falls, from the viewpoint of one signal x.
 
     The posterior over theta given x is uniform on [x - sigma, x + sigma],
-    so this is the posterior mass at or below theta_cutoff.
+    so this is the posterior mass at or below theta_cutoff. Takes arrays too.
     """
-    raw = (theta_cutoff - x + params.sigma) / (2.0 * params.sigma)
-    return min(1.0, max(0.0, raw))
+    return clamp_unit((theta_cutoff - x + params.sigma) / (2.0 * params.sigma))
 
 
 def regime_fall_threshold(params: ModelParams, x_cutoff: float) -> float:

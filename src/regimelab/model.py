@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -68,12 +70,28 @@ def validate_params(sigma: float, r_lower: float) -> ModelParams:
     return ModelParams(float(sigma), float(r_lower))
 
 
+# A curve computes every branch on the whole grid before selecting one per
+# point; overflow in an unselected branch is silent, as float arithmetic is.
+quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def float_or_array(value):
+    """A 0-d numpy result as a Python float; an array result unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def clamp_unit(raw):
+    """min(1, max(0, raw)) elementwise, NaN giving 0 as the builtins do."""
+    return float_or_array(np.select([raw >= 1.0, raw > 0.0], [1.0, raw], 0.0))
+
+
 def cost(params: ModelParams, r: float) -> float:
     """Cost of implementing policy r: (r - r_lower)^2 / 2.
 
-    Zero exactly at the baseline r_lower, strictly convex elsewhere.
+    Zero exactly at the baseline r_lower, strictly convex elsewhere. r may
+    be an array, costed elementwise.
     """
-    if not r >= 0.0:
+    if not np.all(r >= 0.0):
         raise DomainError("r must be nonnegative")
     d = r - params.r_lower
     return 0.5 * d * d

@@ -28,8 +28,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
-from .model import ModelParams, cost
+from .model import ModelParams, clamp_unit, cost, float_or_array, quiet_overflow
 
 
 class PolicyRegion(Enum):
@@ -64,18 +66,24 @@ def max_policy(params: ModelParams) -> float:
     return params.r_lower + math.sqrt(2.0 * (1.0 - params.r_lower))
 
 
-def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium:
-    """Construct the signalling equilibrium for a given intervention level.
-
-    Rejects r_prime at or below the baseline (no signal content) and above
-    max_policy (intervening would cost more than survival is worth).
-    """
+def check_family_member(params: ModelParams, r_prime: float) -> None:
+    """Reject an r_prime (any element of an array) outside (r_lower, r_tilde]."""
     r_tilde = max_policy(params)
-    if not params.r_lower < r_prime <= r_tilde:
+    if not np.all((params.r_lower < r_prime) & (r_prime <= r_tilde)):
         raise DomainError(
             f"r_prime must lie in (r_lower, r_tilde] = "
             f"({params.r_lower:g}, {r_tilde:.9g}]"
         )
+
+
+def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium:
+    """Construct the signalling equilibrium for a given intervention level.
+
+    Rejects r_prime at or below the baseline (no signal content) and above
+    max_policy (intervening would cost more than survival is worth). An
+    array r_prime gives one equilibrium per element, in array fields.
+    """
+    check_family_member(params, r_prime)
     sigma = params.sigma
     theta_lower = cost(params, r_prime)
     theta_upper = 2.0 * sigma + (1.0 - 2.0 * sigma / (1.0 - params.r_lower)) * theta_lower
@@ -87,7 +95,7 @@ def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium
         theta_upper=theta_upper,
         x_prime=x_prime,
         theta_no_attack=theta_no_attack,
-        r_tilde=r_tilde,
+        r_tilde=max_policy(params),
     )
 
 
@@ -98,6 +106,11 @@ def policy_strategy(eq: SignalingEquilibrium, params: ModelParams, theta: float)
     return params.r_lower
 
 
+# The curves below take theta as a float or an array (eq's fields may broadcast
+# against it). np.select keeps the branch order: the first true condition wins.
+
+
+@quiet_overflow
 def aggregate_attack_no_intervention(
     params: ModelParams, eq: SignalingEquilibrium, theta: float
 ) -> float:
@@ -111,14 +124,13 @@ def aggregate_attack_no_intervention(
     """
     sigma = params.sigma
     full_attack_below = eq.theta_upper + 2.0 * sigma * (eq.theta_lower - 1.0)
-    if theta < full_attack_below:
-        return 1.0
-    if theta >= eq.theta_no_attack:
-        return 0.0
-    raw = eq.theta_lower + (eq.theta_upper - theta) / (2.0 * sigma)
-    return min(1.0, max(0.0, raw))
+    ramp = clamp_unit(eq.theta_lower + (eq.theta_upper - theta) / (2.0 * sigma))
+    return float_or_array(
+        np.select([theta < full_attack_below, theta >= eq.theta_no_attack], [1.0, 0.0], ramp)
+    )
 
 
+@quiet_overflow
 def ex_post_welfare(params: ModelParams, eq: SignalingEquilibrium, theta: float) -> float:
     """Policymaker's realized payoff at theta, inside this equilibrium.
 
@@ -127,23 +139,29 @@ def ex_post_welfare(params: ModelParams, eq: SignalingEquilibrium, theta: float)
     without intervening; plain theta once no attack occurs. Continuous at
     all three cutoffs.
     """
-    if theta < eq.theta_lower:
-        return 0.0
-    if theta < eq.theta_upper:
-        return theta - eq.theta_lower
-    if theta < eq.theta_no_attack:
-        inv = 1.0 / (2.0 * params.sigma)
-        ratio = params.r_lower / (1.0 - params.r_lower)
-        return (1.0 + inv) * theta - (inv - ratio) * eq.theta_lower - 1.0
-    return theta
+    inv = 1.0 / (2.0 * params.sigma)
+    ratio = params.r_lower / (1.0 - params.r_lower)
+    defend = (1.0 + inv) * theta - (inv - ratio) * eq.theta_lower - 1.0
+    return float_or_array(
+        np.select(
+            [theta < eq.theta_lower, theta < eq.theta_upper, theta < eq.theta_no_attack],
+            [0.0, theta - eq.theta_lower, defend],
+            theta,
+        )
+    )
+
+
+_REGIONS = np.array(list(PolicyRegion), dtype=object)
 
 
 def classify_region(eq: SignalingEquilibrium, theta: float) -> PolicyRegion:
-    """Assign theta to its equilibrium region; the intervene band is closed."""
-    if theta < eq.theta_lower:
-        return PolicyRegion.ABANDON
-    if theta <= eq.theta_upper:
-        return PolicyRegion.INTERVENE
-    if theta < eq.theta_no_attack:
-        return PolicyRegion.DEFEND_UNDER_ATTACK
-    return PolicyRegion.NO_ATTACK
+    """Assign theta to its equilibrium region; the intervene band is closed.
+
+    An array theta gives an object array of PolicyRegion members.
+    """
+    index = np.select(
+        [theta < eq.theta_lower, theta <= eq.theta_upper, theta < eq.theta_no_attack],
+        [0, 1, 2],
+        3,
+    )
+    return _REGIONS[index]

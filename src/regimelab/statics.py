@@ -17,15 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
 from .errors import BoundaryError, DomainError
-from .model import ModelParams
+from .model import ModelParams, float_or_array
 from .signaling import (
     PolicyRegion,
     SignalingEquilibrium,
     aggregate_attack_no_intervention,
+    check_family_member,
     classify_region,
     ex_post_welfare,
     max_policy,
@@ -56,9 +58,16 @@ class Verdict(Enum):
     EQUAL = "equal"
 
 
+_VERDICTS = np.array(list(Verdict), dtype=object)
+
+
 @dataclass(frozen=True)
 class WelfareComparison:
-    """Tabulated welfare under two intervention levels over a theta grid."""
+    """Tabulated welfare under two intervention levels over a theta grid.
+
+    attack_low is the aggregate attack after no intervention in the r_low
+    equilibrium.
+    """
 
     r_low: float
     r_high: float
@@ -69,6 +78,7 @@ class WelfareComparison:
     region_low: tuple[PolicyRegion, ...]
     region_high: tuple[PolicyRegion, ...]
     verdicts: tuple[Verdict, ...]
+    attack_low: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -99,12 +109,9 @@ def lower_threshold_sensitivity(params: ModelParams, r_prime: float) -> float:
 
     Equals r_prime - r_lower, strictly positive on the whole family: a more
     aggressive intervention is justified only by stronger fundamentals.
+    r_prime may be an array.
     """
-    if not params.r_lower < r_prime <= max_policy(params):
-        raise DomainError(
-            f"r_prime must lie in (r_lower, r_tilde] = "
-            f"({params.r_lower:g}, {max_policy(params):.9g}]"
-        )
+    check_family_member(params, r_prime)
     return r_prime - params.r_lower
 
 
@@ -116,22 +123,26 @@ def welfare_derivative_in_rprime(
     Zero on the abandon and no-attack regions, -(r_prime - r_lower) on the
     intervention band, and -(1/(2*sigma) - r_lower/(1-r_lower)) *
     (r_prime - r_lower) on the defend band, whose sign flips at
-    sigma = critical_sigma. Refuses the three kinks outright: welfare is
-    piecewise linear and has no derivative there.
+    sigma = critical_sigma. Welfare is piecewise linear and has no
+    derivative at its three kinks: a scalar theta there is refused
+    outright, and an array marks those points NaN. theta and the fields of
+    eq may be arrays that broadcast together.
     """
-    if theta in (eq.theta_lower, eq.theta_upper, eq.theta_no_attack):
+    kink = (theta == eq.theta_lower) | (theta == eq.theta_upper)
+    kink = kink | (theta == eq.theta_no_attack)
+    if np.ndim(kink) == 0 and kink:
         raise BoundaryError(
             f"welfare has a kink at theta={theta:.9g}; derivative undefined"
         )
     slope = eq.r_prime - params.r_lower
     region = classify_region(eq, theta)
-    if region is PolicyRegion.INTERVENE:
-        return -slope
-    if region is PolicyRegion.DEFEND_UNDER_ATTACK:
-        inv = 1.0 / (2.0 * params.sigma)
-        ratio = params.r_lower / (1.0 - params.r_lower)
-        return -(inv - ratio) * slope
-    return 0.0
+    intervene = region == PolicyRegion.INTERVENE
+    defend = region == PolicyRegion.DEFEND_UNDER_ATTACK
+    inv = 1.0 / (2.0 * params.sigma)
+    ratio = params.r_lower / (1.0 - params.r_lower)
+    return float_or_array(
+        np.select([kink, intervene, defend], [np.nan, -slope, -(inv - ratio) * slope], 0.0)
+    )
 
 
 def compare_welfare(
@@ -155,41 +166,28 @@ def compare_welfare(
     thetas = [float(t) for t in theta_grid]
     if not thetas:
         raise DomainError("theta_grid must be non-empty")
-    if any(b < a for a, b in zip(thetas, thetas[1:])):
+    grid = np.array(thetas)
+    if np.any(grid[1:] < grid[:-1]):
         raise DomainError("theta_grid must be sorted ascending")
     if not tol >= 0:
         raise DomainError("tol must be nonnegative")
 
     eq_low = solve_signaling(params, r_low)
     eq_high = solve_signaling(params, r_high)
-    u_low = []
-    u_high = []
-    region_low = []
-    region_high = []
-    verdicts = []
-    for theta in thetas:
-        lo = ex_post_welfare(params, eq_low, theta)
-        hi = ex_post_welfare(params, eq_high, theta)
-        u_low.append(lo)
-        u_high.append(hi)
-        region_low.append(classify_region(eq_low, theta))
-        region_high.append(classify_region(eq_high, theta))
-        if hi - lo > tol:
-            verdicts.append(Verdict.HIGHER_UNDER_AGGRESSIVE)
-        elif lo - hi > tol:
-            verdicts.append(Verdict.LOWER_UNDER_AGGRESSIVE)
-        else:
-            verdicts.append(Verdict.EQUAL)
+    u_low = ex_post_welfare(params, eq_low, grid)
+    u_high = ex_post_welfare(params, eq_high, grid)
+    verdicts = np.select([u_high - u_low > tol, u_low - u_high > tol], [0, 1], 2)
     return WelfareComparison(
         r_low=r_low,
         r_high=r_high,
         tol=tol,
         theta_grid=tuple(thetas),
-        u_low=tuple(u_low),
-        u_high=tuple(u_high),
-        region_low=tuple(region_low),
-        region_high=tuple(region_high),
-        verdicts=tuple(verdicts),
+        u_low=tuple(u_low.tolist()),
+        u_high=tuple(u_high.tolist()),
+        region_low=tuple(classify_region(eq_low, grid)),
+        region_high=tuple(classify_region(eq_high, grid)),
+        verdicts=tuple(_VERDICTS[verdicts]),
+        attack_low=tuple(aggregate_attack_no_intervention(params, eq_low, grid).tolist()),
     )
 
 
@@ -215,15 +213,12 @@ def sweep(
     rows: list[SweepRow] = []
     for r_prime in r_prime_list:
         eq = solve_signaling(params, r_prime)
-        for theta in thetas:
-            t = float(theta)
-            rows.append(
-                SweepRow(
-                    r_prime=r_prime,
-                    theta=t,
-                    region=classify_region(eq, t),
-                    attack=aggregate_attack_no_intervention(params, eq, t),
-                    welfare=ex_post_welfare(params, eq, t),
-                )
-            )
+        rows += map(
+            SweepRow,
+            repeat(r_prime),
+            thetas.tolist(),
+            classify_region(eq, thetas),
+            aggregate_attack_no_intervention(params, eq, thetas).tolist(),
+            ex_post_welfare(params, eq, thetas).tolist(),
+        )
     return rows

@@ -4,7 +4,9 @@ Every closed form in the package has an independent route to the same
 number: the continuation thresholds have the dominance iteration, the
 signalling indifference has the attack-cutoff ramp, the analytic welfare
 derivative has a central finite difference. Each check below runs one such
-pair over a parameter grid and reports the worst absolute discrepancy.
+pair over a parameter grid and reports the worst absolute discrepancy; at
+each parameter point it evaluates its whole policy or family grid (and the
+theta probes on it) as arrays in one pass.
 Failures are data, not exceptions: callers read the report and pick an
 exit code.
 
@@ -15,7 +17,6 @@ check, which must then fail.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,10 @@ from .continuation import (
     solve_iterated_dominance,
     success_prob_given_signal,
 )
-from .errors import BoundaryError
 from .model import ModelParams, cost
 from .signaling import (
     PolicyRegion,
+    SignalingEquilibrium,
     aggregate_attack_no_intervention,
     classify_region,
     ex_post_welfare,
@@ -91,89 +92,79 @@ class VerifyReport:
         }
 
 
-def _policy_grid(n: int = 21) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n)
-
-
-def _family_grid(params: ModelParams, n: int = 25) -> list[float]:
+def _family_grid(params: ModelParams, n: int = 25) -> np.ndarray:
     r_tilde = max_policy(params)
-    fractions = [(k + 1) / n for k in range(n - 1)]
-    grid = [params.r_lower + f * (r_tilde - params.r_lower) for f in fractions]
-    grid.append(r_tilde)
+    grid = params.r_lower + np.arange(1, n + 1) / n * (r_tilde - params.r_lower)
+    grid[-1] = r_tilde
     return grid
 
 
+def _inner_family_grid(params: ModelParams, h: float) -> np.ndarray:
+    """Family members at least 2h inside both ends, for central differences."""
+    grid = _family_grid(params)
+    return grid[(params.r_lower + 2 * h < grid) & (grid < max_policy(params) - 2 * h)]
+
+
+def _family(params: ModelParams, r_primes=None) -> SignalingEquilibrium:
+    """Equilibria of r_primes (default: the family grid), fields as (members, 1) columns."""
+    if r_primes is None:
+        r_primes = _family_grid(params)
+    return solve_signaling(params, r_primes[:, None])
+
+
+def _worst(errors: np.ndarray) -> float:
+    """Largest error, floored at zero (an empty set of points has none)."""
+    return max(0.0, float(np.max(errors, initial=0.0)))
+
+
+def _policy_thresholds(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The policy grid with its closed-form (x_cutoff, theta_cutoff), as arrays."""
+    grid = np.linspace(0.0, 1.0, 21)
+    eqs = [closed_form_thresholds(params, float(r)) for r in grid]
+    x_cutoff = np.array([eq.x_cutoff for eq in eqs])
+    return grid, x_cutoff, np.array([eq.theta_cutoff for eq in eqs])
+
+
 def _check_continuation_closed_form(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r in _policy_grid():
-        eq = closed_form_thresholds(params, float(r))
-        marginal = eq.theta_cutoff + params.sigma * (1.0 - 2.0 * r)
-        worst = max(
-            worst,
-            abs(eq.theta_cutoff - (1.0 - r)),
-            abs(eq.x_cutoff - marginal),
-        )
-        n += 1
-    return n, worst
+    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
+    marginal = theta_cutoff + params.sigma * (1.0 - 2.0 * r)
+    errors = np.hstack([np.abs(theta_cutoff - (1.0 - r)), np.abs(x_cutoff - marginal)])
+    return r.size, _worst(errors)
 
 
 def _check_continuation_fixed_point(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r in _policy_grid():
-        eq = closed_form_thresholds(params, float(r))
-        mass = attack_mass(params, eq.x_cutoff, eq.theta_cutoff)
-        worst = max(worst, abs(mass - eq.theta_cutoff))
-        n += 1
-    return n, worst
+    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
+    mass = attack_mass(params, x_cutoff, theta_cutoff)
+    return r.size, _worst(np.abs(mass - theta_cutoff))
 
 
 def _check_continuation_indifference(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r in _policy_grid():
-        eq = closed_form_thresholds(params, float(r))
-        prob = success_prob_given_signal(params, eq.theta_cutoff, eq.x_cutoff)
-        worst = max(worst, abs(prob - r))
-        n += 1
-    return n, worst
+    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
+    prob = success_prob_given_signal(params, theta_cutoff, x_cutoff)
+    return r.size, _worst(np.abs(prob - r))
 
 
 def _check_continuation_dominance(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    config = SolverConfig()
-    for r in _policy_grid():
-        closed = closed_form_thresholds(params, float(r))
-        iterated, _ = solve_iterated_dominance(params, float(r), config)
-        worst = max(
-            worst,
-            abs(iterated.x_cutoff - closed.x_cutoff),
-            abs(iterated.theta_cutoff - closed.theta_cutoff),
-        )
-        n += 1
-    return n, worst
+    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
+    iterated = [solve_iterated_dominance(params, float(p), SolverConfig())[0] for p in r]
+    errors = np.hstack(
+        [
+            np.abs(np.array([eq.x_cutoff for eq in iterated]) - x_cutoff),
+            np.abs(np.array([eq.theta_cutoff for eq in iterated]) - theta_cutoff),
+        ]
+    )
+    return r.size, _worst(errors)
 
 
 def _check_continuation_monotonicity(params: ModelParams) -> tuple[int, float]:
-    grid = _policy_grid()
-    eqs = [closed_form_thresholds(params, float(r)) for r in grid]
-    worst = -np.inf
-    for prev, cur in zip(eqs, eqs[1:]):
-        # Thresholds must fall strictly as the policy rises.
-        worst = max(worst, cur.x_cutoff - prev.x_cutoff, cur.theta_cutoff - prev.theta_cutoff)
-    return len(eqs) - 1, worst
+    # Thresholds must fall strictly as the policy rises.
+    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
+    return r.size - 1, float(np.max(np.hstack([np.diff(x_cutoff), np.diff(theta_cutoff)])))
 
 
 def _check_signaling_cost_threshold(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        worst = max(worst, abs(eq.theta_lower - cost(params, r_prime)))
-        n += 1
-    return n, worst
+    eq = _family(params)
+    return eq.r_prime.size, _worst(np.abs(eq.theta_lower - cost(params, eq.r_prime)))
 
 
 def _check_signaling_indifference(
@@ -182,59 +173,38 @@ def _check_signaling_indifference(
     # Routed through the signal-cutoff ramp rather than the piecewise form:
     # the piecewise form hits theta_lower at its own theta_upper by
     # construction and would mask an error in theta_upper itself.
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        if theta_upper_shift:
-            eq = dataclasses.replace(eq, theta_upper=eq.theta_upper + theta_upper_shift)
-        mass = attack_mass(params, eq.x_prime, eq.theta_upper)
-        worst = max(worst, abs(mass - eq.theta_lower))
-        n += 1
-    return n, worst
+    eq = _family(params)
+    mass = attack_mass(params, eq.x_prime, eq.theta_upper + theta_upper_shift)
+    return eq.r_prime.size, _worst(np.abs(mass - eq.theta_lower))
 
 
 def _check_signaling_attack_consistency(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        lo = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
-        for theta in np.linspace(lo - 1.0, eq.theta_no_attack + 1.0, 41):
-            t = float(theta)
-            piecewise = aggregate_attack_no_intervention(params, eq, t)
-            ramp = attack_mass(params, eq.x_prime, t)
-            worst = max(worst, abs(piecewise - ramp))
-            n += 1
-    return n, worst
+    eq = _family(params)
+    lo = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
+    thetas = np.linspace(lo[:, 0] - 1.0, eq.theta_no_attack[:, 0] + 1.0, 41, axis=-1)
+    piecewise = aggregate_attack_no_intervention(params, eq, thetas)
+    ramp = attack_mass(params, eq.x_prime, thetas)
+    return thetas.size, _worst(np.abs(piecewise - ramp))
 
 
 def _check_signaling_alt_form(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        alt = 2.0 * params.sigma + (
-            1.0 - 2.0 * params.sigma * params.r_lower / (1.0 - params.r_lower)
-        ) * eq.theta_lower
-        worst = max(worst, abs(eq.theta_no_attack - alt))
-        n += 1
-    return n, worst
+    eq = _family(params)
+    alt = 2.0 * params.sigma + (
+        1.0 - 2.0 * params.sigma * params.r_lower / (1.0 - params.r_lower)
+    ) * eq.theta_lower
+    return eq.r_prime.size, _worst(np.abs(eq.theta_no_attack - alt))
 
 
 def _check_signaling_ordering(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        worst = max(
-            worst,
+    eq = _family(params)
+    gaps = np.hstack(
+        [
             eq.theta_lower - eq.theta_upper,
             eq.theta_upper - eq.theta_no_attack,
             eq.theta_lower - (1.0 - params.r_lower),
-        )
-        n += 1
-    return n, max(worst, 0.0)
+        ]
+    )
+    return eq.r_prime.size, _worst(gaps)
 
 
 def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, float]:
@@ -249,115 +219,88 @@ def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, f
 
 
 def _check_welfare_continuity(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        at_lower = _welfare_branch_values(params, eq, eq.theta_lower)
-        at_upper = _welfare_branch_values(params, eq, eq.theta_upper)
-        at_top = _welfare_branch_values(params, eq, eq.theta_no_attack)
-        worst = max(
-            worst,
-            abs(at_lower["abandon"] - at_lower["intervene"]),
-            abs(at_upper["intervene"] - at_upper["defend"]),
-            abs(at_top["defend"] - at_top["no_attack"]),
-        )
-        n += 3
-    return n, worst
+    eq = _family(params)
+    at_lower = _welfare_branch_values(params, eq, eq.theta_lower)
+    at_upper = _welfare_branch_values(params, eq, eq.theta_upper)
+    at_top = _welfare_branch_values(params, eq, eq.theta_no_attack)
+    gaps = np.hstack(
+        [
+            np.abs(at_lower["abandon"] - at_lower["intervene"]),
+            np.abs(at_upper["intervene"] - at_upper["defend"]),
+            np.abs(at_top["defend"] - at_top["no_attack"]),
+        ]
+    )
+    return gaps.size, _worst(gaps)
 
 
 def _check_welfare_branch_consistency(params: ModelParams) -> tuple[int, float]:
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        if eq.theta_no_attack <= eq.theta_upper:
-            continue
-        for theta in np.linspace(eq.theta_upper, eq.theta_no_attack, 21)[:-1]:
-            t = float(theta)
-            direct = ex_post_welfare(params, eq, t)
-            via_attack = t - aggregate_attack_no_intervention(params, eq, t)
-            worst = max(worst, abs(direct - via_attack))
-            n += 1
-    return n, worst
+    eq = _family(params)
+    # Members whose defend band is empty have nothing to compare.
+    eq = _family(params, eq.r_prime[eq.theta_no_attack > eq.theta_upper])
+    band = np.linspace(eq.theta_upper[:, 0], eq.theta_no_attack[:, 0], 21, axis=-1)
+    thetas = band[:, :-1]
+    direct = ex_post_welfare(params, eq, thetas)
+    via_attack = thetas - aggregate_attack_no_intervention(params, eq, thetas)
+    return thetas.size, _worst(np.abs(direct - via_attack))
 
 
-def _region_interior_points(eq) -> list[float]:
-    points = [eq.theta_lower - 0.5]
-    if eq.theta_upper > eq.theta_lower:
-        points.append(0.5 * (eq.theta_lower + eq.theta_upper))
-    points.append(0.5 * (eq.theta_upper + eq.theta_no_attack))
-    points.append(eq.theta_no_attack + 0.5)
-    return points
+def _probe_derivatives(
+    params: ModelParams, eq: SignalingEquilibrium
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe points inside each region, the analytic derivative there, and which count.
+
+    The intervene band's midpoint does not count where the band is empty, and
+    a probe that lands exactly on a kink (NaN) is skipped on its own.
+    """
+    points = np.hstack(
+        [
+            eq.theta_lower - 0.5,
+            0.5 * (eq.theta_lower + eq.theta_upper),
+            0.5 * (eq.theta_upper + eq.theta_no_attack),
+            eq.theta_no_attack + 0.5,
+        ]
+    )
+    deriv = welfare_derivative_in_rprime(params, eq, points)
+    counted = ~np.isnan(deriv)
+    counted[:, 1:2] &= eq.theta_upper > eq.theta_lower
+    return points, deriv, counted
 
 
 def _check_derivative_signs(params: ModelParams) -> tuple[int, float]:
-    regime = sigma_regime(params)
-    worst = 0.0
-    n = 0
-    for r_prime in _family_grid(params):
-        eq = solve_signaling(params, r_prime)
-        for theta in _region_interior_points(eq):
-            try:
-                deriv = welfare_derivative_in_rprime(params, eq, theta)
-            except BoundaryError:
-                continue
-            region = classify_region(eq, theta)
-            n += 1
-            if region is PolicyRegion.INTERVENE:
-                worst = max(worst, deriv)  # must be negative
-            elif region is PolicyRegion.DEFEND_UNDER_ATTACK:
-                if regime.regime is NoiseRegime.NOISY:
-                    worst = max(worst, -deriv)  # must be positive
-                else:
-                    worst = max(worst, deriv)  # nonpositive
-            else:
-                worst = max(worst, abs(deriv))
-    return n, max(worst, 0.0)
+    noisy = sigma_regime(params).regime is NoiseRegime.NOISY
+    eq = _family(params)
+    points, deriv, counted = _probe_derivatives(params, eq)
+    region = classify_region(eq, points)
+    # Intervening must hurt; defending must help when noisy and may not help
+    # when precise; elsewhere the slope is zero.
+    violation = np.select(
+        [region == PolicyRegion.INTERVENE, region == PolicyRegion.DEFEND_UNDER_ATTACK],
+        [deriv, -deriv if noisy else deriv],
+        np.abs(deriv),
+    )
+    return int(counted.sum()), _worst(violation[counted])
 
 
 def _check_derivative_finite_difference(params: ModelParams) -> tuple[int, float]:
     h = 1e-5
-    worst = 0.0
-    n = 0
-    r_tilde = max_policy(params)
-    inner = [
-        r for r in _family_grid(params) if params.r_lower + 2 * h < r < r_tilde - 2 * h
-    ]
-    for r_prime in inner:
-        eq = solve_signaling(params, r_prime)
-        eq_lo = solve_signaling(params, r_prime - h)
-        eq_hi = solve_signaling(params, r_prime + h)
-        for theta in _region_interior_points(eq):
-            try:
-                analytic = welfare_derivative_in_rprime(params, eq, theta)
-            except BoundaryError:
-                continue
-            fd = (
-                ex_post_welfare(params, eq_hi, theta)
-                - ex_post_welfare(params, eq_lo, theta)
-            ) / (2.0 * h)
-            worst = max(worst, abs(analytic - fd))
-            n += 1
-    return n, worst
+    inner = _inner_family_grid(params, h)
+    eq, eq_lo, eq_hi = (_family(params, r) for r in (inner, inner - h, inner + h))
+    points, analytic, counted = _probe_derivatives(params, eq)
+    fd = (
+        ex_post_welfare(params, eq_hi, points) - ex_post_welfare(params, eq_lo, points)
+    ) / (2.0 * h)
+    return int(counted.sum()), _worst(np.abs(analytic - fd)[counted])
 
 
 def _check_threshold_sensitivity(params: ModelParams) -> tuple[int, float]:
     h = 1e-6
-    worst = 0.0
-    n = 0
-    r_tilde = max_policy(params)
-    for r_prime in _family_grid(params):
-        if not params.r_lower + 2 * h < r_prime < r_tilde - 2 * h:
-            continue
-        analytic = lower_threshold_sensitivity(params, r_prime)
-        fd = (
-            solve_signaling(params, r_prime + h).theta_lower
-            - solve_signaling(params, r_prime - h).theta_lower
-        ) / (2.0 * h)
-        worst = max(worst, abs(analytic - fd))
-        n += 1
-    return n, worst
+    inner = _inner_family_grid(params, h)
+    analytic = lower_threshold_sensitivity(params, inner)
+    fd = (
+        solve_signaling(params, inner + h).theta_lower
+        - solve_signaling(params, inner - h).theta_lower
+    ) / (2.0 * h)
+    return inner.size, _worst(np.abs(analytic - fd))
 
 
 _CHECKS = [

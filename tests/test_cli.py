@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from regimelab import ModelParams, run, run_verify, solve_signaling, validate_params
-from regimelab.cli import continuation_welfare
+from regimelab.cli import _parse_theta_spec
+from regimelab.continuation import continuation_welfare
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
 
@@ -290,10 +295,78 @@ class TestConfigFile:
         assert run(["continuation", "--config", str(config), "--r", "0.25"]) == 2
 
 
+class TestThetaGrid:
+    def test_grid_never_passes_hi(self, capsys):
+        # 7 / 0.4 = 17.5 steps: rounding the count up used to emit theta = 7.2.
+        grid = _parse_theta_spec("0:7:0.4")
+        assert len(grid) == 18
+        assert grid[-1] == pytest.approx(6.8)
+        assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+                    "--theta", "0:7:0.4"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.split(",")[3] == "6.8"
+
+    @pytest.mark.parametrize("spec", ["0:7:0.0001", "0:1:0.05", "0:0.3:0.1", "0:7:0.01",
+                                      "-1:7:0.01", "0.1:0.7:0.2"])
+    def test_whole_step_spans_keep_their_points(self, spec):
+        # Spans that divide exactly up to rounding keep the last point, bit for bit.
+        lo, hi, step = (float(part) for part in spec.split(":"))
+        count = int(round((hi - lo) / step))
+        assert _parse_theta_spec(spec) == [lo + k * step for k in range(count + 1)]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+             "--theta", "nan"],
+            ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+             "--theta", "inf"],
+            ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+             "--theta", "0:inf:1"],
+            ["signaling", "--sigma", "inf", "--rbar", "0.2", "--rprime", "0.8"],
+            ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+             "--theta=-inf", "--agents", "100", "--reps", "2"],
+            ["verify", "--sigma", "1,nan"],
+            ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+             "--theta=-1e308:1e308:1e307"],
+        ],
+    )
+    def test_rejected_with_one_line_diagnostic(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be finite" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_non_finite_result_is_not_written_as_json(self, capsys):
+        # sigma this large overflows the thresholds to NaN; JSON cannot carry it.
+        code = run(["signaling", "--sigma", "1e308", "--rbar", "0.2", "--rprime", "0.8",
+                    "--format", "json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+
+def test_python_dash_m_regimelab_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "regimelab", "continuation", "--sigma", "0.5",
+         "--r", "0.25"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "sigma,r,x_cutoff,theta_cutoff\n0.5,0.25,1,0.75\n"
+    assert proc.stderr == ""
+
+
 class TestThreadsEnv:
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["welfare-sweep", "--sigma", "3", "--rbar", "0.2",
-                "--rprime", "0.5,0.8,1.1", "--theta", "0:7:0.01"]
+        args = ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+                "--theta", "0:1:0.1", "--agents", "2000", "--reps", "3"]
         serial = tmp_path / "serial.csv"
         threaded = tmp_path / "threaded.csv"
         monkeypatch.delenv("REGIME_LAB_THREADS", raising=False)
@@ -304,8 +377,8 @@ class TestThreadsEnv:
 
     def test_invalid_cap_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("REGIME_LAB_THREADS", "zero")
-        code = run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2",
-                    "--rprime", "0.8", "--theta", "0:1:0.5"])
+        code = run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+                    "--theta", "0:1:0.5", "--agents", "100", "--reps", "2"])
         assert code == 2
 
 

@@ -1,0 +1,74 @@
+"""Byte-identity goldens: the sha256 and size of CLI outputs.
+
+The digests were recorded from the scalar (per-point) implementation of
+the curve functions, before they were rewritten to evaluate whole grids.
+Any change to the printed bytes, in a number's last digit, a row's order
+or the JSON layout, fails here. A deliberate output change must update the
+digest and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from regimelab import run
+
+_SWEEP = ["--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0", "--theta", "0:7:0.01"]
+_COMPARE = ["--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+            "--theta", "0:7:0.01"]
+
+GOLDENS = {
+    # The six README commands.
+    "continuation-json": (
+        ["continuation", "--sigma", "0.5", "--r", "0.25", "--format", "json"],
+        "9c5bfedf665eda48e66ca1dcd027bbf18a668fa4d2ca8a48ae003ce5c7146917", 102,
+    ),
+    "signaling-csv": (
+        ["signaling", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8"],
+        "743a77d45de5072973f3fcadd6fd2826f50bc49e3377a328ad5047906b77f276", 115,
+    ),
+    "welfare-sweep-csv": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+         "--theta", "0:7:0.01"],
+        "4effd83fea42b2bed942c76a6b3fa1c0be68480af58f894e3cca710d43e7bd9b", 28408,
+    ),
+    "compare-csv": (
+        ["compare", *_COMPARE],
+        "8935e208fd242e395ceb03a8b31b42925318b97fccadece135151b863117fe74", 49847,
+    ),
+    "simulate-csv": (
+        ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25", "--theta", "1.0",
+         "--agents", "100000", "--reps", "20", "--seed", "42"],
+        "e89021f3c0b839d0043cbf8e183c1f698930355bca019a2a68327d3d8d743192", 175,
+    ),
+    "verify-json": (
+        ["verify"],
+        "5afc43884a58bf26a95db10a38b2ceb79ab4d5311fa36698adc33a26f1772748", 2522,
+    ),
+    # A three-member family sweep, the compare table as JSON, verify as CSV.
+    "welfare-sweep-family-csv": (
+        ["welfare-sweep", *_SWEEP],
+        "bebcb3da62b838b84bc6a3ce44080f6fd942f0b36b3f2cdd671778f629fe5816", 84957,
+    ),
+    "welfare-sweep-family-json": (
+        ["welfare-sweep", *_SWEEP, "--format", "json"],
+        "0cec60ec73c2bd2396e27b85c5fecb6492a635a18efe95e04faf38f1f6e4e13d", 326910,
+    ),
+    "compare-json": (
+        ["compare", *_COMPARE, "--format", "json"],
+        "f275170b1f3716ca1d1a88b0c5875454c3e4808f9e6e35fcf13324b6429e3d6f", 168586,
+    ),
+    "verify-csv": (
+        ["verify", "--format", "csv"],
+        "4c14101e17c85341b7c8c902ecef164563edcf6acabb22fdb57c9fd48935ed77", 849,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDENS))
+def test_output_bytes_match_golden(tmp_path, name):
+    argv, digest, size = GOLDENS[name]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
