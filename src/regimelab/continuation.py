@@ -17,6 +17,7 @@ the test suite cross-verify each against the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -73,6 +74,8 @@ def closed_form_thresholds(params: ModelParams, r: float) -> ContinuationEquilib
     _require_unit_policy(r)
     theta_cutoff = 1.0 - r
     x_cutoff = (1.0 + 2.0 * params.sigma) * (1.0 - r) - params.sigma
+    if not math.isfinite(x_cutoff):
+        raise DomainError(f"continuation thresholds are not finite at sigma = {params.sigma:g}")
     return ContinuationEquilibrium(r=r, x_cutoff=x_cutoff, theta_cutoff=theta_cutoff)
 
 

@@ -76,6 +76,7 @@ def check_family_member(params: ModelParams, r_prime: float) -> None:
         )
 
 
+@quiet_overflow
 def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium:
     """Construct the signalling equilibrium for a given intervention level.
 
@@ -89,6 +90,8 @@ def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium
     theta_upper = 2.0 * sigma + (1.0 - 2.0 * sigma / (1.0 - params.r_lower)) * theta_lower
     x_prime = theta_upper + sigma * (2.0 * theta_lower - 1.0)
     theta_no_attack = theta_upper + 2.0 * sigma * theta_lower
+    if not np.isfinite((theta_upper, x_prime, theta_no_attack)).all():
+        raise DomainError(f"signalling thresholds are not finite at sigma = {sigma:g}")
     return SignalingEquilibrium(
         r_prime=r_prime,
         theta_lower=theta_lower,

@@ -10,15 +10,15 @@ suite checks.
 
 Replications are seeded independently: a counter-based mix (splitmix64) of
 the master seed, a stream tag, and the replication index yields each
-sub-seed, so results are bit-identical across runs and independent of any
-execution schedule.
+sub-seed, so results are bit-identical across runs. Each replication draws
+one noise panel, shared by every theta of a grid (common random numbers).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,53 +102,66 @@ def _aggregate(reps: list[RepResult]) -> SimOutcome:
 def simulate_continuation(
     params: ModelParams,
     r: float,
-    theta: float,
+    theta: float | Sequence[float],
     x_cutoff: float,
     config: SimConfig,
-) -> SimOutcome:
+) -> SimOutcome | tuple[SimOutcome, ...]:
     """Play the fixed-policy game with n_agents sampled signals.
 
     Per replication: draw signals theta + eps with eps uniform on
     [-sigma, sigma], attack iff the signal is at or below x_cutoff, abandon
     iff theta <= attack fraction (ties fall), score the policymaker at the
-    realized attack fraction.
+    realized attack fraction. A sequence of thetas gives a tuple of outcomes
+    in grid order, each as its own draw would: one panel serves every theta.
     """
     if not r >= 0.0:
         raise DomainError("r must be nonnegative")
-    reps: list[RepResult] = []
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float)).tolist()
+    if not thetas:
+        return ()
+    if not math.isfinite(2.0 * params.sigma):
+        raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
+    per_theta: list[list[RepResult]] = [[] for _ in thetas]
+    buf = np.empty(config.n_agents)
     for k in range(config.n_reps):
         rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-        signals = theta + rng.uniform(-params.sigma, params.sigma, config.n_agents)
-        alpha = float(np.count_nonzero(signals <= x_cutoff)) / config.n_agents
-        decision = (
-            RegimeDecision.ABANDON if theta <= alpha else RegimeDecision.MAINTAIN
-        )
-        welfare = policymaker_payoff(params, r, decision, theta, alpha)
-        reps.append(RepResult(alpha=alpha, decision=decision, welfare=welfare))
-    return _aggregate(reps)
+        eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
+        for t, reps in zip(thetas, per_theta):
+            np.add(t, eps, out=buf)
+            alpha = float(np.count_nonzero(buf <= x_cutoff)) / config.n_agents
+            decision = RegimeDecision.ABANDON if t <= alpha else RegimeDecision.MAINTAIN
+            welfare = policymaker_payoff(params, r, decision, t, alpha)
+            reps.append(RepResult(alpha=alpha, decision=decision, welfare=welfare))
+        del eps  # hold one panel at a time: release it before the next draw
+    outcomes = tuple(_aggregate(reps) for reps in per_theta)
+    return outcomes[0] if np.ndim(theta) == 0 else outcomes
 
 
 def simulate_signaling(
     params: ModelParams,
     eq: SignalingEquilibrium,
-    theta: float,
+    theta: float | Sequence[float],
     config: SimConfig,
-) -> SimOutcome:
-    """Play one fundamental of the signalling equilibrium.
+) -> SimOutcome | tuple[SimOutcome, ...]:
+    """Play one fundamental (or a sequence of them) of the signalling equilibrium.
 
     On the intervention band the outcome is deterministic: the raised policy
     is read as strength, nobody attacks, and the policymaker nets
     theta - cost(r_prime). Elsewhere the baseline policy is observed and the
-    continuation game runs with the off-path cutoff x_prime.
+    continuation game runs with the off-path cutoff x_prime, over all the
+    off-band thetas at once.
     """
-    if eq.theta_lower <= theta <= eq.theta_upper:
-        rep = RepResult(
-            alpha=0.0,
-            decision=RegimeDecision.MAINTAIN,
-            welfare=theta - cost(params, eq.r_prime),
-        )
-        return _aggregate([rep] * config.n_reps)
-    return simulate_continuation(params, params.r_lower, theta, eq.x_prime, config)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float)).tolist()
+    on_band = [eq.theta_lower <= t <= eq.theta_upper for t in thetas]
+    off_band = [t for t, band in zip(thetas, on_band) if not band]
+    simulated = iter(simulate_continuation(params, params.r_lower, off_band, eq.x_prime, config))
+    net_cost = cost(params, eq.r_prime)
+    outcomes = tuple(
+        _aggregate([RepResult(0.0, RegimeDecision.MAINTAIN, t - net_cost)] * config.n_reps)
+        if band else next(simulated)
+        for t, band in zip(thetas, on_band)
+    )
+    return outcomes[0] if np.ndim(theta) == 0 else outcomes
 
 
 def _empirical_fall_threshold(sorted_eps: np.ndarray, x_hat: float) -> float:

@@ -7,9 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from regimelab import ModelParams, run, run_verify, solve_signaling, validate_params
+from regimelab import (
+    DomainError,
+    ModelParams,
+    closed_form_thresholds,
+    run,
+    run_verify,
+    solve_signaling,
+    validate_params,
+)
 from regimelab.cli import _parse_theta_spec
 from regimelab.continuation import continuation_welfare
 
@@ -314,6 +323,18 @@ class TestThetaGrid:
         count = int(round((hi - lo) / step))
         assert _parse_theta_spec(spec) == [lo + k * step for k in range(count + 1)]
 
+    @pytest.mark.parametrize("spec", ["0:1:1e-300", "0:10000000:1"])
+    def test_point_count_is_bounded(self, spec, capsys):
+        # 1e300 points used to end in a MemoryError traceback; 10,000,001 is
+        # the first count past the bound.
+        with pytest.raises(DomainError, match="more than 10,000,000 points"):
+            _parse_theta_spec(spec)
+        assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+                    "--theta", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
@@ -350,6 +371,37 @@ class TestNonFiniteInput:
         assert "not finite" in captured.err
 
 
+class TestOverflowingThresholds:
+    # A finite sigma this large overflows the closed forms; the CSV used to
+    # print nan/inf thresholds, and welfare-sweep an abandon row with attack 0,
+    # all with exit 0.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signaling", "--sigma", "1e308", "--rbar", "0.2", "--rprime", "0.8"],
+            ["continuation", "--sigma", "1e308", "--r", "0.5"],
+            ["welfare-sweep", "--sigma", "1e308", "--rbar", "0.2", "--rprime", "0.8",
+             "--theta", "0:1:0.5"],
+            ["simulate", "--sigma", "1e308", "--rbar", "0.2", "--r", "0.5",
+             "--x-cutoff", "0", "--theta", "0.5", "--agents", "10", "--reps", "2"],
+        ],
+    )
+    def test_rejected_with_one_line_diagnostic(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "sigma = 1e+308" in captured.err
+
+    def test_thresholds_at_a_large_finite_sigma_still_solve(self):
+        eq = solve_signaling(ModelParams(sigma=1e300, r_lower=0.2), 0.8)
+        assert eq.theta_upper == pytest.approx(1.55e300)
+        with pytest.raises(DomainError):
+            solve_signaling(ModelParams(sigma=1e308, r_lower=0.2), np.array([0.5, 0.8]))
+        with pytest.raises(DomainError):
+            closed_form_thresholds(ModelParams(sigma=1e308, r_lower=0.2), 0.5)
+
+
 def test_python_dash_m_regimelab_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -361,25 +413,6 @@ def test_python_dash_m_regimelab_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "sigma,r,x_cutoff,theta_cutoff\n0.5,0.25,1,0.75\n"
     assert proc.stderr == ""
-
-
-class TestThreadsEnv:
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
-                "--theta", "0:1:0.1", "--agents", "2000", "--reps", "3"]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        monkeypatch.delenv("REGIME_LAB_THREADS", raising=False)
-        run(args + ["--out", str(serial)])
-        monkeypatch.setenv("REGIME_LAB_THREADS", "4")
-        run(args + ["--out", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_invalid_cap_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REGIME_LAB_THREADS", "zero")
-        code = run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
-                    "--theta", "0:1:0.5", "--agents", "100", "--reps", "2"])
-        assert code == 2
 
 
 class TestContinuationWelfare:
@@ -396,8 +429,6 @@ class TestContinuationWelfare:
         assert continuation_welfare(params, 0.25, 1.0) == pytest.approx(0.49875, abs=1e-12)
 
     def test_policy_outside_unit_rejected(self):
-        from regimelab import DomainError
-
         params = validate_params(0.5, 0.2)
         with pytest.raises(DomainError):
             continuation_welfare(params, 1.5, 1.0)
@@ -406,8 +437,6 @@ class TestContinuationWelfare:
         # The attack mass equals the threshold exactly at the threshold, so the
         # two branches meet.
         params = validate_params(0.5, 0.2)
-        from regimelab import closed_form_thresholds
-
         eq = closed_form_thresholds(params, 0.25)
         left = continuation_welfare(params, 0.25, eq.theta_cutoff)
         right = continuation_welfare(params, 0.25, eq.theta_cutoff + 1e-9)

@@ -1,7 +1,9 @@
 """Byte-identity goldens: the sha256 and size of CLI outputs.
 
 The digests were recorded from the scalar (per-point) implementation of
-the curve functions, before they were rewritten to evaluate whole grids.
+the curve functions, before they were rewritten to evaluate whole grids,
+and the simulate grids from the per-theta Monte Carlo, before every theta
+came to share one noise panel per replication.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -61,6 +63,23 @@ GOLDENS = {
     "verify-csv": (
         ["verify", "--format", "csv"],
         "4c14101e17c85341b7c8c902ecef164563edcf6acabb22fdb57c9fd48935ed77", 849,
+    ),
+    # Monte Carlo over a theta grid, in both modes; the signalling grid
+    # crosses both edges of the intervention band.
+    "simulate-grid-continuation-csv": (
+        ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+         "--theta", "0:1:0.05", "--agents", "20000", "--reps", "7"],
+        "c24f42ca4fa82d09ae768f79cb2b8a5bd68215caf6c584fc06df8a320cda7ea8", 1564,
+    ),
+    "simulate-grid-signaling-csv": (
+        ["simulate", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+         "--theta=-1:8:0.25"],
+        "92851ed0d01ae8f21b36b8435ff395eac196e3b0736dfd6fab87fec2f858d13a", 2101,
+    ),
+    "simulate-grid-signaling-json": (
+        ["simulate", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+         "--theta=-1:8:0.25", "--format", "json"],
+        "df3845c6de5f18cad551dc152cf1b2036f91f9030124ef19b1cc647bbf02e3d1", 10126,
     ),
 }
 

@@ -1,5 +1,8 @@
 """Finite-agent Monte Carlo against the continuum quantities."""
 
+import math
+
+import numpy as np
 import pytest
 
 from regimelab import (
@@ -15,6 +18,8 @@ from regimelab import (
     simulate_signaling,
     solve_signaling,
 )
+from regimelab.model import cost, policymaker_payoff
+from regimelab.simulate import _STREAM_REPS, RepResult, _aggregate, _sub_seed
 
 HALF = ModelParams(sigma=0.5, r_lower=0.2)
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
@@ -101,6 +106,96 @@ class TestSimulateSignaling:
         config = SimConfig(n_agents=1000, n_reps=20, master_seed=7)
         outcome = simulate_signaling(WIDE, eq, 0.05, config)
         assert outcome.fall_frequency == 1.0
+
+
+# --- reference: the per-theta Monte Carlo the grid routine replaced ----------
+
+
+def ref_simulate_continuation(params, r, theta, x_cutoff, config):
+    reps = []
+    for k in range(config.n_reps):
+        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+        signals = theta + rng.uniform(-params.sigma, params.sigma, config.n_agents)
+        alpha = float(np.count_nonzero(signals <= x_cutoff)) / config.n_agents
+        decision = (
+            RegimeDecision.ABANDON if theta <= alpha else RegimeDecision.MAINTAIN
+        )
+        welfare = policymaker_payoff(params, r, decision, theta, alpha)
+        reps.append(RepResult(alpha=alpha, decision=decision, welfare=welfare))
+    return _aggregate(reps)
+
+
+def ref_simulate_signaling(params, eq, theta, config):
+    if eq.theta_lower <= theta <= eq.theta_upper:
+        rep = RepResult(
+            alpha=0.0,
+            decision=RegimeDecision.MAINTAIN,
+            welfare=theta - cost(params, eq.r_prime),
+        )
+        return _aggregate([rep] * config.n_reps)
+    return ref_simulate_continuation(params, params.r_lower, theta, eq.x_prime, config)
+
+
+def _around(*points):
+    """Each point and one ulp either side of it."""
+    return [q for p in points for q in (math.nextafter(p, -math.inf), p,
+                                        math.nextafter(p, math.inf))]
+
+
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """Count default_rng constructions made through numpy.random."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls
+
+
+class TestGridMatchesPerThetaCode:
+    @pytest.mark.parametrize("n_reps", [1, 4])
+    def test_signaling_grid_across_band_edges(self, n_reps):
+        eq = solve_signaling(WIDE, 0.8)
+        config = SimConfig(n_agents=3000, n_reps=n_reps, master_seed=9)
+        grid = [-1.0, 0.05, *_around(eq.theta_lower), 2.0,
+                *_around(eq.theta_upper), 5.0, 8.0]
+        assert simulate_signaling(WIDE, eq, grid, config) == tuple(
+            ref_simulate_signaling(WIDE, eq, t, config) for t in grid
+        )
+
+    @pytest.mark.parametrize("n_reps", [1, 5])
+    def test_continuation_grid(self, n_reps):
+        config = SimConfig(n_agents=3000, n_reps=n_reps, master_seed=42)
+        x_cutoff = closed_form_thresholds(HALF, 0.25).x_cutoff
+        grid = [0.05 * k for k in range(21)] + _around(0.75, x_cutoff - 0.5, x_cutoff + 0.5)
+        assert simulate_continuation(HALF, 0.25, grid, x_cutoff, config) == tuple(
+            ref_simulate_continuation(HALF, 0.25, t, x_cutoff, config) for t in grid
+        )
+
+    def test_scalar_theta_returns_one_outcome(self):
+        config = SimConfig(n_agents=3000, n_reps=3, master_seed=1)
+        outcome = simulate_continuation(HALF, 0.25, 0.9, 1.0, config)
+        assert outcome == ref_simulate_continuation(HALF, 0.25, 0.9, 1.0, config)
+        (single,) = simulate_continuation(HALF, 0.25, [0.9], 1.0, config)
+        assert single == outcome
+
+    def test_one_panel_per_replication(self, rng_calls):
+        config = SimConfig(n_agents=1000, n_reps=6, master_seed=3)
+        simulate_continuation(HALF, 0.25, [0.1 * k for k in range(11)], 1.0, config)
+        assert rng_calls == [(_sub_seed(3, _STREAM_REPS, k),) for k in range(6)]
+
+    def test_grid_on_the_band_draws_nothing(self, rng_calls):
+        eq = solve_signaling(WIDE, 0.8)
+        grid = [eq.theta_lower, 1.0, 3.0, eq.theta_upper]
+        outcomes = simulate_signaling(WIDE, eq, grid, BIG)
+        assert rng_calls == []
+        assert [o.alpha_mean for o in outcomes] == [0.0] * len(grid)
+        assert simulate_continuation(HALF, 0.25, [], 1.0, BIG) == ()
+        assert rng_calls == []
 
 
 class TestFiniteBestResponse:
