@@ -11,7 +11,6 @@ exposes all of it and emits CSV/JSON sweep data.
 from .continuation import (
     ContinuationEquilibrium,
     DominanceTrace,
-    SolverConfig,
     attack_mass,
     best_response_cutoff,
     closed_form_thresholds,
@@ -86,7 +85,6 @@ __all__ = [
     "SignalingEquilibrium",
     "SimConfig",
     "SimOutcome",
-    "SolverConfig",
     "SweepRow",
     "Verdict",
     "VerifyReport",

@@ -30,7 +30,7 @@ from itertools import repeat, starmap
 
 import numpy as np
 
-from .continuation import SolverConfig, closed_form_thresholds, solve_iterated_dominance
+from .continuation import closed_form_thresholds, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError
 from .model import ModelParams, validate_params
 from .signaling import (
@@ -224,7 +224,7 @@ def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None) -> No
         payload = [
             {col: _json_value(v) for col, v in zip(columns, row)} for row in rows
         ]
-        single = command in ("continuation", "signaling") and len(payload) == 1
+        single = command == "signaling" and len(payload) == 1
         text = _json_text(payload[0] if single else payload)
     _write_text(text, out)
 
@@ -263,11 +263,8 @@ def _cmd_continuation(opts: _Options) -> int:
     if solver == "closed-form":
         eq = closed_form_thresholds(params, r)
     elif solver == "iterated":
-        config = SolverConfig(
-            tol=_parse_float(opts.get("tol", "1e-9"), "tol"),
-            max_iter=_parse_int(opts.get("max_iter", "10000"), "max-iter"),
-        )
-        eq, _ = solve_iterated_dominance(params, r, config)
+        tol = _parse_float(opts.get("tol", "1e-9"), "tol")
+        eq, _ = solve_iterated_dominance(params, r, tol)
     else:
         raise DomainError(f"unknown solver {solver!r}")
     fmt = _format_from(opts)
@@ -463,7 +460,6 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         "x-cutoff": dict(dest="x_cutoff", help="override the attack cutoff"),
         "solver": dict(choices=["closed-form", "iterated"], help="threshold solver"),
         "tol": dict(help="tolerance"),
-        "max-iter": dict(dest="max_iter", help="iteration budget"),
         "agents": dict(help="agents per replication"),
         "reps": dict(help="number of replications"),
         "seed": dict(help="64-bit master seed"),
@@ -483,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("continuation", help="fixed-policy equilibrium thresholds")
-    _add_common(p, "sigma", "rbar", "r", "solver", "tol", "max-iter", "format", "out", "config")
+    _add_common(p, "sigma", "rbar", "r", "solver", "tol", "format", "out", "config")
     p.set_defaults(handler=_cmd_continuation)
 
     p = sub.add_parser("signaling", help="signalling-equilibrium threshold bundle")

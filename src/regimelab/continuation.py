@@ -11,8 +11,8 @@ at or below theta_cutoff. The closed form is
 and the same pair is recovered here by iterated elimination of
 conditionally dominated strategies: one cutoff sequence starts from
 "everyone attacks", one from "nobody attacks", and both contract onto the
-equilibrium cutoff at rate 1/(1 + 2*sigma). Keeping both routes alive lets
-the test suite cross-verify each against the other.
+equilibrium cutoff at rate 1/(1 + 2*sigma), which sizes the solver's round
+budget. Keeping both routes alive lets the test suite cross-verify them.
 """
 
 from __future__ import annotations
@@ -34,28 +34,14 @@ class ContinuationEquilibrium:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rule for the iterated-dominance solver."""
-
-    tol: float = 1e-9
-    max_iter: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-@dataclass(frozen=True)
 class DominanceTrace:
     """Cutoff sequences produced by iterated elimination.
 
     upper_seq starts from a cutoff so high that everyone attacks and is
     non-increasing; lower_seq starts from one so low that nobody attacks and
     is non-decreasing. contraction_modulus = 1/(1 + 2*sigma) bounds the
-    per-step shrinkage of the bracket, which is why convergence is
-    guaranteed for any positive tolerance.
+    per-step shrinkage of the bracket, which sizes the solver's round budget;
+    rounding can still stall it above a tolerance as fine as 1e-16.
     """
 
     upper_seq: tuple[float, ...]
@@ -137,35 +123,49 @@ def best_response_cutoff(params: ModelParams, r: float, x_hat: float) -> float:
     return regime_fall_threshold(params, x_hat) + params.sigma * (1.0 - 2.0 * r)
 
 
+# Each round keeps two floats in the trace (about 90 bytes with its lists and
+# tuples), so a million rounds hold about 90 MB and take about 2 s; at the
+# default tol, sigma below about 1.1e-5 needs more and is refused unrun.
+_MAX_ROUNDS = 1_000_000
+
+
 def solve_iterated_dominance(
     params: ModelParams,
     r: float,
-    config: SolverConfig = SolverConfig(),
+    tol: float = 1e-9,
 ) -> tuple[ContinuationEquilibrium, DominanceTrace]:
     """Recover the continuation equilibrium by iterated conditional dominance.
 
     Starting cutoffs sit strictly outside the dominance regions (high enough
     that the attack mass is 1 on the relevant range, and symmetrically low),
     so the first elimination round already bites. Iteration stops once the
-    upper and lower cutoffs agree within config.tol.
+    upper and lower cutoffs agree within tol, in a budget of rounds fixed by
+    the 2*sigma + 3 wide start and the contraction modulus, plus one.
 
-    Raises ConvergenceError if max_iter is exhausted first; the partial
-    trace is attached to the exception as ``trace``.
+    Raises DomainError past _MAX_ROUNDS rounds, and ConvergenceError if
+    rounding stalls the bracket above tol (partial trace as ``trace``).
     """
     _require_unit_policy(r)
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    if not math.isfinite(2.0 * params.sigma):
+        raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
+    shrink = math.log(2.0 * params.sigma + 3.0) - math.log(tol)
+    rounds = max(1, math.ceil(shrink / math.log1p(2.0 * params.sigma))) + 1
+    if rounds > _MAX_ROUNDS:
+        raise DomainError(f"sigma = {params.sigma:g} needs {rounds:,} rounds, over {_MAX_ROUNDS:,}")
     upper = 1.0 + params.sigma + 1.0
     lower = -params.sigma - 1.0
     upper_seq = [upper]
     lower_seq = [lower]
-    converged = False
-    for _ in range(config.max_iter):
+    for _ in range(rounds):
         upper = best_response_cutoff(params, r, upper)
         lower = best_response_cutoff(params, r, lower)
         upper_seq.append(upper)
         lower_seq.append(lower)
-        if upper - lower <= config.tol:
-            converged = True
+        if upper - lower <= tol:
             break
+    converged = upper - lower <= tol
     trace = DominanceTrace(
         upper_seq=tuple(upper_seq),
         lower_seq=tuple(lower_seq),
@@ -175,7 +175,7 @@ def solve_iterated_dominance(
     if not converged:
         err = ConvergenceError(
             f"cutoff bracket still {upper - lower:.3e} wide after "
-            f"{config.max_iter} iterations (tol={config.tol:.1e})"
+            f"{rounds} iterations (tol={tol:.1e})"
         )
         err.trace = trace
         raise err

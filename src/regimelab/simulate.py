@@ -33,6 +33,10 @@ _STREAM_BEST_RESPONSE = 1
 # 99.5th percentile of the standard normal: 99% two-sided half-width.
 _Z99 = 2.5758293035489004
 
+# A replication holds 17 bytes per agent (panel, sum buffer and mask), so the
+# bound is 1.7 GB: 100 times the 1e6 agents of the largest benchmark run.
+_MAX_AGENTS = 100_000_000
+
 
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -57,8 +61,8 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise DomainError("n_agents must be at least 1")
+        if not 1 <= self.n_agents <= _MAX_AGENTS:
+            raise DomainError(f"n_agents must lie in [1, {_MAX_AGENTS:,}]")
         if self.n_reps < 1:
             raise DomainError("n_reps must be at least 1")
         if not 0 <= self.master_seed <= _MASK64:

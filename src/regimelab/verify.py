@@ -18,11 +18,11 @@ check, which must then fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .continuation import (
-    SolverConfig,
     attack_mass,
     closed_form_thresholds,
     solve_iterated_dominance,
@@ -146,7 +146,7 @@ def _check_continuation_indifference(params: ModelParams) -> tuple[int, float]:
 
 def _check_continuation_dominance(params: ModelParams) -> tuple[int, float]:
     r, x_cutoff, theta_cutoff = _policy_thresholds(params)
-    iterated = [solve_iterated_dominance(params, float(p), SolverConfig())[0] for p in r]
+    iterated = [solve_iterated_dominance(params, float(p))[0] for p in r]
     errors = np.hstack(
         [
             np.abs(np.array([eq.x_cutoff for eq in iterated]) - x_cutoff),
@@ -168,7 +168,7 @@ def _check_signaling_cost_threshold(params: ModelParams) -> tuple[int, float]:
 
 
 def _check_signaling_indifference(
-    params: ModelParams, theta_upper_shift: float
+    theta_upper_shift: float, params: ModelParams
 ) -> tuple[int, float]:
     # Routed through the signal-cutoff ramp rather than the piecewise form:
     # the piecewise form hits theta_lower at its own theta_upper by
@@ -303,24 +303,26 @@ def _check_threshold_sensitivity(params: ModelParams) -> tuple[int, float]:
     return inner.size, _worst(np.abs(analytic - fd))
 
 
-_CHECKS = [
-    ("continuation.closed-form", _check_continuation_closed_form, _TIGHT),
-    ("continuation.fixed-point", _check_continuation_fixed_point, _TIGHT),
-    ("continuation.indifference", _check_continuation_indifference, _TIGHT),
-    ("continuation.dominance-oracle", _check_continuation_dominance, _SOLVER),
-    # Strict decrease: the worst signed difference must stay below zero.
-    ("continuation.monotonicity", _check_continuation_monotonicity, -1e-15),
-    ("signaling.cost-threshold", _check_signaling_cost_threshold, _TIGHT),
-    ("signaling.indifference", None, _TIGHT),  # takes the shift hook
-    ("signaling.attack-consistency", _check_signaling_attack_consistency, _TIGHT),
-    ("signaling.alternative-form", _check_signaling_alt_form, _TIGHT),
-    ("signaling.ordering", _check_signaling_ordering, _TIGHT),
-    ("welfare.continuity", _check_welfare_continuity, _TIGHT),
-    ("welfare.branch-consistency", _check_welfare_branch_consistency, _TIGHT),
-    ("statics.derivative-signs", _check_derivative_signs, _TIGHT),
-    ("statics.derivative-finite-difference", _check_derivative_finite_difference, _DERIV),
-    ("statics.threshold-sensitivity", _check_threshold_sensitivity, _DERIV),
-]
+def _checks(shift: float) -> list[tuple]:
+    """Each cross-check as (name, check of one parameter point, tolerance)."""
+    return [
+        ("continuation.closed-form", _check_continuation_closed_form, _TIGHT),
+        ("continuation.fixed-point", _check_continuation_fixed_point, _TIGHT),
+        ("continuation.indifference", _check_continuation_indifference, _TIGHT),
+        ("continuation.dominance-oracle", _check_continuation_dominance, _SOLVER),
+        # Strict decrease: the worst signed difference must stay below zero.
+        ("continuation.monotonicity", _check_continuation_monotonicity, -1e-15),
+        ("signaling.cost-threshold", _check_signaling_cost_threshold, _TIGHT),
+        ("signaling.indifference", partial(_check_signaling_indifference, shift), _TIGHT),
+        ("signaling.attack-consistency", _check_signaling_attack_consistency, _TIGHT),
+        ("signaling.alternative-form", _check_signaling_alt_form, _TIGHT),
+        ("signaling.ordering", _check_signaling_ordering, _TIGHT),
+        ("welfare.continuity", _check_welfare_continuity, _TIGHT),
+        ("welfare.branch-consistency", _check_welfare_branch_consistency, _TIGHT),
+        ("statics.derivative-signs", _check_derivative_signs, _TIGHT),
+        ("statics.derivative-finite-difference", _check_derivative_finite_difference, _DERIV),
+        ("statics.threshold-sensitivity", _check_threshold_sensitivity, _DERIV),
+    ]
 
 
 def run_verify(
@@ -330,14 +332,11 @@ def run_verify(
 ) -> VerifyReport:
     """Run every cross-check over each parameter point and collect a report."""
     results: list[CheckResult] = []
-    for name, fn, tolerance in _CHECKS:
+    for name, fn, tolerance in _checks(theta_upper_shift):
         points = 0
         worst = -np.inf
         for params in params_list:
-            if name == "signaling.indifference":
-                n, err = _check_signaling_indifference(params, theta_upper_shift)
-            else:
-                n, err = fn(params)
+            n, err = fn(params)
             points += n
             worst = max(worst, err)
         if points == 0:

@@ -46,6 +46,31 @@ class TestContinuationCommand:
         assert payload["x_cutoff"] == pytest.approx(1.0, abs=1e-9)
         assert payload["solver"] == "iterated"
 
+    def test_iterated_solver_sizes_its_budget_at_small_sigma(self, capsys):
+        # The contraction modulus 1/(1 + 2*sigma) is near 1 here: about
+        # 11,000 rounds, past the fixed budget of 10,000 the solver once had.
+        code = run(["continuation", "--sigma", "1e-3", "--r", "0.25", "--solver", "iterated",
+                    "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        closed = closed_form_thresholds(ModelParams(sigma=1e-3, r_lower=0.2), 0.25)
+        assert payload["x_cutoff"] == pytest.approx(closed.x_cutoff, abs=1e-9)
+        assert payload["theta_cutoff"] == pytest.approx(closed.theta_cutoff, abs=1e-9)
+
+    def test_iterated_budget_past_the_cap_exits_2_without_iterating(self, capsys, monkeypatch):
+        import regimelab.continuation as continuation_module
+
+        def no_rounds(*args):
+            raise AssertionError("iterated before checking its budget")
+
+        monkeypatch.setattr(continuation_module, "best_response_cutoff", no_rounds)
+        code = run(["continuation", "--sigma", "1e-6", "--r", "0.25", "--solver", "iterated"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "sigma = 1e-06 needs 10,910,952 rounds" in captured.err
+
     def test_csv_schema(self, capsys):
         code = run(["continuation", "--sigma", "0.5", "--r", "0.25"])
         assert code == 0
@@ -216,6 +241,15 @@ class TestSimulateCommand:
         assert code == 2
         assert "either" in capsys.readouterr().err
 
+    def test_agents_above_bound_exits_2(self, capsys):
+        # Refused by SimConfig before any panel is drawn.
+        code = run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+                    "--theta", "1.0", "--agents", "100000001"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_agents must lie in [1, 100,000,000]\n"
+
     def test_deterministic_csv(self, tmp_path):
         args = ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
                 "--theta", "0.5:1.5:0.5", "--agents", "5000", "--seed", "9"]
@@ -234,6 +268,13 @@ class TestVerifyCommand:
         assert report["n_failed"] == 0
         assert report["n_checks"] > 0
         assert all(check["passed"] for check in report["checks"])
+
+    def test_small_sigma_passes(self, capsys):
+        # The dominance oracle used to stop at a fixed 10,000 rounds here.
+        code = run(["verify", "--sigma", "1e-3", "--rbar", "0.2"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_checks"], report["n_failed"]) == (15, 0)
 
     def test_empty_grid_exits_2(self, capsys):
         code = run(["verify", "--sigma", ""])
@@ -384,6 +425,7 @@ class TestOverflowingThresholds:
              "--theta", "0:1:0.5"],
             ["simulate", "--sigma", "1e308", "--rbar", "0.2", "--r", "0.5",
              "--x-cutoff", "0", "--theta", "0.5", "--agents", "10", "--reps", "2"],
+            ["continuation", "--sigma", "1e308", "--r", "0.5", "--solver", "iterated"],
         ],
     )
     def test_rejected_with_one_line_diagnostic(self, argv, capsys):

@@ -7,7 +7,6 @@ from regimelab import (
     ConvergenceError,
     DomainError,
     ModelParams,
-    SolverConfig,
     attack_mass,
     best_response_cutoff,
     closed_form_thresholds,
@@ -128,17 +127,17 @@ class TestBestResponse:
 
 class TestIteratedDominance:
     def test_matches_closed_form_interior(self):
-        eq, trace = solve_iterated_dominance(HALF, 0.25, SolverConfig(tol=1e-9))
+        eq, trace = solve_iterated_dominance(HALF, 0.25, tol=1e-9)
         assert trace.converged
         assert eq.x_cutoff == pytest.approx(1.0, abs=1e-9)
         assert eq.theta_cutoff == pytest.approx(0.75, abs=1e-9)
 
     def test_matches_closed_form_wide_noise(self):
-        eq, _ = solve_iterated_dominance(WIDE, 0.5, SolverConfig(tol=1e-9))
+        eq, _ = solve_iterated_dominance(WIDE, 0.5, tol=1e-9)
         assert eq.x_cutoff == pytest.approx(0.5, abs=1e-9)
 
     def test_upper_sequence_strictly_decreasing_until_tol(self):
-        _, trace = solve_iterated_dominance(HALF, 0.25, SolverConfig(tol=1e-9))
+        _, trace = solve_iterated_dominance(HALF, 0.25, tol=1e-9)
         diffs = np.diff(trace.upper_seq)
         assert np.all(diffs[:-1] < 0.0)
         assert diffs[-1] <= 0.0
@@ -165,15 +164,28 @@ class TestIteratedDominance:
                 assert abs(iterated.theta_cutoff - closed.theta_cutoff) <= SOLVER_TOL
 
     def test_exhausted_budget_raises(self):
+        # A tolerance below the spacing of the cutoffs: rounding stalls the
+        # bracket above it, so the derived budget of 57 rounds runs out.
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_iterated_dominance(HALF, 0.25, SolverConfig(tol=1e-15, max_iter=2))
-        assert len(excinfo.value.trace.upper_seq) == 3
+            solve_iterated_dominance(HALF, 0.05, 1e-16)
+        trace = excinfo.value.trace
+        assert trace.converged is False
+        assert len(trace.upper_seq) == 58
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(DomainError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_iter=0)
+        for tol in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                solve_iterated_dominance(HALF, 0.25, tol)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0, 1e6, 1e300, 8e307])
+    def test_derived_budget_converges_at_every_noise_scale(self, sigma):
+        params = ModelParams(sigma=sigma, r_lower=0.2)
+        for r in (0.0, 0.25, 0.5, 1.0):
+            eq, trace = solve_iterated_dominance(params, r)
+            assert trace.converged
+            assert trace.upper_seq[-1] - trace.lower_seq[-1] <= SOLVER_TOL
+            # theta_cutoff = 1 - r needs no cancellation at any sigma.
+            assert eq.theta_cutoff == pytest.approx(1.0 - r, abs=SOLVER_TOL)
 
 
 class TestEquilibriumIdentities:

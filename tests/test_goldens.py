@@ -2,8 +2,10 @@
 
 The digests were recorded from the scalar (per-point) implementation of
 the curve functions, before they were rewritten to evaluate whole grids,
-and the simulate grids from the per-theta Monte Carlo, before every theta
-came to share one noise panel per replication.
+the simulate grids from the per-theta Monte Carlo, before every theta
+came to share one noise panel per replication, and the iterated-solver
+outputs from the solver with a fixed iteration budget, before it derived
+its own.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -46,6 +48,17 @@ GOLDENS = {
     "verify-json": (
         ["verify"],
         "5afc43884a58bf26a95db10a38b2ceb79ab4d5311fa36698adc33a26f1772748", 2522,
+    ),
+    # The iterated-dominance solver, at its default and at a tighter tolerance.
+    "continuation-iterated-json": (
+        ["continuation", "--sigma", "0.5", "--r", "0.25", "--solver", "iterated",
+         "--format", "json"],
+        "8a41daf064741fae9bf2c9e1a734006b136df5c426054cd7739288b371b4f2fe", 99,
+    ),
+    "continuation-iterated-tight-csv": (
+        ["continuation", "--sigma", "3", "--rbar", "0.2", "--r", "0.6", "--solver", "iterated",
+         "--tol", "1e-12"],
+        "6ddd3e3b40b47681ac2a312113efea51b5757064b108840e3b949a6c224ba5f7", 45,
     ),
     # A three-member family sweep, the compare table as JSON, verify as CSV.
     "welfare-sweep-family-csv": (

@@ -37,6 +37,10 @@ class TestSimConfig:
             SimConfig(n_agents=1, n_reps=1, master_seed=-1)
         with pytest.raises(DomainError):
             SimConfig(n_agents=1, n_reps=1, master_seed=2**64)
+        # Above 1e8 agents a replication would hold more than 1.7 GB.
+        SimConfig(n_agents=10**8, n_reps=1, master_seed=1)
+        with pytest.raises(DomainError):
+            SimConfig(n_agents=10**8 + 1, n_reps=1, master_seed=1)
 
 
 class TestSimulateContinuation:
