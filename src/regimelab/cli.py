@@ -9,8 +9,11 @@ Six subcommands map onto the solver modules:
     simulate       finite-agent Monte Carlo at given fundamentals
     verify         cross-checking suite over a parameter grid
 
-Outputs are CSV (default) or JSON, to stdout or --out. Numbers are written
-with 9 significant digits; CSV uses a header row, UTF-8, LF line endings.
+Outputs are CSV (default) or JSON, to stdout or --out. Numbers carry 9
+significant digits: CSV writes them in .9g form, JSON as the shortest float
+repr of that rounding, so 1e9 is 1e+09 in CSV and 1000000000.0 in JSON.
+CSV uses a header row; both are UTF-8 with LF line endings and JSON is laid
+out as json.dumps(indent=2) lays it out.
 Theta grids are written lo:hi:step, whose points never pass hi (hi itself
 is included when the span is a whole number of steps), or as a single
 number. Every number must be finite. A flat key=value file passed via
@@ -24,13 +27,15 @@ import argparse
 import io
 import json
 import math
+import operator
 import sys
+from collections.abc import Iterator
 from enum import Enum
 from itertools import repeat, starmap
 
 import numpy as np
 
-from .continuation import closed_form_thresholds, solve_iterated_dominance
+from .continuation import closed_form_thresholds, require_tolerance, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError
 from .model import ModelParams, validate_params
 from .signaling import (
@@ -190,19 +195,54 @@ class _Options:
 # output
 
 
-def _json_value(value):
-    if isinstance(value, float):
-        return float(f"{value:.9g}")
-    if isinstance(value, Enum):
-        return value.value
-    return value
+_NOT_FINITE = "result is not finite; JSON has no encoding for it"
 
 
-def _json_text(payload) -> str:
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise DomainError("result is not finite; JSON has no encoding for it")
+def _json_cells(cells) -> list[str]:
+    """JSON text of each cell of one column, whose cells share the first one's type.
+
+    A float is rounded to 9 significant digits and written as the shortest
+    repr of that rounding, which is what json.dumps prints for it.
+    """
+    first = cells[0]
+    if isinstance(first, float):
+        if not all(map(math.isfinite, cells)):
+            raise DomainError(_NOT_FINITE)
+        return list(map(repr, map(float, map("{:.9g}".format, cells))))
+    if isinstance(first, Enum):
+        lookup = {member: json.dumps(member.value) for member in type(first)}
+        return list(map(lookup.__getitem__, cells))
+    return list(map(json.dumps, cells))
+
+
+def _json_objects(columns: tuple[str, ...], rows: list[tuple], indent: str) -> Iterator[str]:
+    """One JSON object per row, laid out as json.dumps(indent=2) nests it under indent.
+
+    Every row fills one template; a column that holds a single object is
+    encoded once and baked into it.
+    """
+    fields, varying = [], []
+    for col, cells in zip(columns, zip(*rows)):
+        field = f"{indent}  {json.dumps(col)}: "
+        if all(map(operator.is_, cells, repeat(cells[0]))):
+            field += _json_cells(cells[:1])[0]
+            fields.append(field.replace("{", "{{").replace("}", "}}"))
+        else:
+            fields.append(field + "{}")
+            varying.append(_json_cells(cells))
+    template = f"{indent}{{{{\n" + ",\n".join(fields) + f"\n{indent}}}}}"
+    if not varying:
+        return repeat(template.format(), len(rows))
+    return starmap(template.format, zip(*varying))
+
+
+def _json_text(columns: tuple[str, ...], rows: list[tuple], single: bool = False) -> str:
+    """A JSON array of one object per row, or the one row's object when single."""
+    if single:
+        return next(_json_objects(columns, rows, "")) + "\n"
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(_json_objects(columns, rows, "  ")) + "\n]\n"
 
 
 def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None) -> None:
@@ -221,11 +261,7 @@ def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None) -> No
             buf.writelines(starmap((template + "\n").format, rows))
         text = buf.getvalue()
     else:
-        payload = [
-            {col: _json_value(v) for col, v in zip(columns, row)} for row in rows
-        ]
-        single = command == "signaling" and len(payload) == 1
-        text = _json_text(payload[0] if single else payload)
+        text = _json_text(columns, rows, single=command == "signaling" and len(rows) == 1)
     _write_text(text, out)
 
 
@@ -260,10 +296,13 @@ def _cmd_continuation(opts: _Options) -> int:
     params = _params_from(opts, default_rbar="0.2")
     r = _parse_float(opts.require("r"), "r")
     solver = opts.get("solver", "closed-form")
+    # Both solvers take the same --tol, so the closed form refuses one the
+    # iterated solver would refuse, although it reads no tolerance itself.
+    tol = _parse_float(opts.get("tol", "1e-9"), "tol")
+    require_tolerance(tol)
     if solver == "closed-form":
         eq = closed_form_thresholds(params, r)
     elif solver == "iterated":
-        tol = _parse_float(opts.get("tol", "1e-9"), "tol")
         eq, _ = solve_iterated_dominance(params, r, tol)
     else:
         raise DomainError(f"unknown solver {solver!r}")
@@ -271,14 +310,8 @@ def _cmd_continuation(opts: _Options) -> int:
     out = opts.get("out")
     row = (params.sigma, r, eq.x_cutoff, eq.theta_cutoff)
     if fmt == "json":
-        payload = {
-            "sigma": _json_value(params.sigma),
-            "r": _json_value(r),
-            "x_cutoff": _json_value(eq.x_cutoff),
-            "theta_cutoff": _json_value(eq.theta_cutoff),
-            "solver": solver,
-        }
-        _write_text(_json_text(payload), out)
+        columns = (*_COLUMNS["continuation"], "solver")
+        _write_text(_json_text(columns, [(*row, solver)], single=True), out)
     else:
         _emit_rows("continuation", [row], "csv", out)
     return 0
@@ -431,7 +464,11 @@ def _cmd_verify(opts: _Options) -> int:
         ]
         _emit_rows("verify", rows, "csv", out)
     else:
-        _write_text(_json_text(report.to_dict()), out)
+        try:
+            text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise DomainError(_NOT_FINITE)
+        _write_text(text, out)
     if report.n_checks == 0:
         print("verify: 0 checks", file=sys.stderr)
         return 2

@@ -123,6 +123,12 @@ def best_response_cutoff(params: ModelParams, r: float, x_hat: float) -> float:
     return regime_fall_threshold(params, x_hat) + params.sigma * (1.0 - 2.0 * r)
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a solver tolerance that is not positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+
+
 # Each round keeps two floats in the trace (about 90 bytes with its lists and
 # tuples), so a million rounds hold about 90 MB and take about 2 s; at the
 # default tol, sigma below about 1.1e-5 needs more and is refused unrun.
@@ -146,8 +152,7 @@ def solve_iterated_dominance(
     rounding stalls the bracket above tol (partial trace as ``trace``).
     """
     _require_unit_policy(r)
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
+    require_tolerance(tol)
     if not math.isfinite(2.0 * params.sigma):
         raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
     shrink = math.log(2.0 * params.sigma + 3.0) - math.log(tol)

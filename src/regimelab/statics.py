@@ -76,7 +76,6 @@ class WelfareComparison:
     u_low: tuple[float, ...]
     u_high: tuple[float, ...]
     region_low: tuple[PolicyRegion, ...]
-    region_high: tuple[PolicyRegion, ...]
     verdicts: tuple[Verdict, ...]
     attack_low: tuple[float, ...]
 
@@ -185,7 +184,6 @@ def compare_welfare(
         u_low=tuple(u_low.tolist()),
         u_high=tuple(u_high.tolist()),
         region_low=tuple(classify_region(eq_low, grid)),
-        region_high=tuple(classify_region(eq_high, grid)),
         verdicts=tuple(_VERDICTS[verdicts]),
         attack_low=tuple(aggregate_attack_no_intervention(params, eq_low, grid).tolist()),
     )

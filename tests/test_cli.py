@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,13 +14,15 @@ import pytest
 from regimelab import (
     DomainError,
     ModelParams,
+    PolicyRegion,
+    Verdict,
     closed_form_thresholds,
     run,
     run_verify,
     solve_signaling,
     validate_params,
 )
-from regimelab.cli import _parse_theta_spec
+from regimelab.cli import _COLUMNS, _emit_rows, _parse_theta_spec
 from regimelab.continuation import continuation_welfare
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
@@ -85,6 +88,20 @@ class TestContinuationCommand:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["continuation", "--sigma", "0.5", "--bogus", "1"]) == 2
+
+    @pytest.mark.parametrize("solver", ["closed-form", "iterated"])
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("0", "tol must be positive and finite"), ("abc", "tol must be a number")],
+    )
+    def test_invalid_tol_exits_2_for_either_solver(self, solver, tol, message, capsys):
+        code = run(["continuation", "--sigma", "0.5", "--r", "0.25", "--solver", solver,
+                    "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
 
 class TestSignalingCommand:
@@ -410,6 +427,53 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err
+
+
+def _compare_rows(theta_cell, constant_cell):
+    """Two compare rows: theta_cell varies down the table, constant_cell is one object."""
+    return [
+        (3.0, 0.2, 0.8, theta, PolicyRegion.INTERVENE, 0.5, constant_cell, 0.9, 1.0,
+         Verdict.EQUAL)
+        for theta in (theta_cell, 1.5)
+    ]
+
+
+class TestJsonEncoder:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["varying", "constant"])
+    def test_non_finite_cell_raises_and_writes_nothing(self, bad, where, tmp_path):
+        rows = _compare_rows(bad, 0.25) if where == "varying" else _compare_rows(0.5, bad)
+        out = tmp_path / "out.json"
+        with pytest.raises(DomainError, match="^result is not finite"):
+            _emit_rows("compare", rows, "json", str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value",
+        [1e9, 123456789.0, 1e16, 1e-5, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.5],
+    )
+    def test_float_cells_follow_the_nine_digit_rule(self, value, capsys):
+        # theta takes the template's per-row path, welfare the baked one.
+        rows = _compare_rows(value, value)
+        _emit_rows("compare", rows, "json", None)
+        text = capsys.readouterr().out
+        first = text.splitlines()[2 : 2 + len(_COLUMNS["compare"])]
+        cells = dict(line.strip().rstrip(",").split(": ") for line in first)
+        expected = json.dumps(float(f"{value:.9g}"))
+        assert cells['"theta"'] == cells['"welfare"'] == expected
+        assert text.count(f'"welfare": {expected},') == 2
+
+        _emit_rows("compare", rows, "csv", None)
+        first_row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert first_row[3] == first_row[6] == f"{value:.9g}"
+
+    def test_equal_cells_of_distinct_sign_stay_distinct(self, capsys):
+        # 0.0 == -0.0, so only a column of one object may be baked once.
+        rows = [row[:6] + (welfare,) + row[7:]
+                for row, welfare in zip(_compare_rows(0.5, 0.0), (0.0, -0.0))]
+        _emit_rows("compare", rows, "json", None)
+        text = capsys.readouterr().out
+        assert '"welfare": 0.0,' in text and '"welfare": -0.0,' in text
 
 
 class TestOverflowingThresholds:

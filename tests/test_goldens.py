@@ -5,7 +5,9 @@ the curve functions, before they were rewritten to evaluate whole grids,
 the simulate grids from the per-theta Monte Carlo, before every theta
 came to share one noise panel per replication, and the iterated-solver
 outputs from the solver with a fixed iteration budget, before it derived
-its own.
+its own, and the JSON edge cases from the encoder that built one dict per
+row and passed the list to json.dumps(indent=2), before JSON tables came
+to be filled from one row template.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -93,6 +95,23 @@ GOLDENS = {
         ["simulate", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
          "--theta=-1:8:0.25", "--format", "json"],
         "df3845c6de5f18cad551dc152cf1b2036f91f9030124ef19b1cc647bbf02e3d1", 10126,
+    ),
+    # JSON encoder edge cases: the single signalling object, a float whose
+    # 9-digit rounding prints differently as .9g (1e+09) and as a float repr
+    # (1000000000.0), and an empty table.
+    "signaling-json": (
+        ["signaling", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--format", "json"],
+        "683de175b2842cfd1cf375553e390541b2e4bd52e764f26a08ed57a1d906afee", 168,
+    ),
+    "welfare-sweep-1e9-json": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+         "--theta", "1e9:1e9:1", "--format", "json"],
+        "9b76d9fd1c347efd1e928f5aa3108c565a6c4d2fb12f409e6a03f57ce5726cec", 167,
+    ),
+    "welfare-sweep-empty-json": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "",
+         "--theta", "0:1:0.5", "--format", "json"],
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 3,
     ),
 }
 
