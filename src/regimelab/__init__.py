@@ -14,7 +14,6 @@ from .continuation import (
     attack_mass,
     best_response_cutoff,
     closed_form_thresholds,
-    continuation_welfare,
     regime_fall_threshold,
     solve_iterated_dominance,
     success_prob_given_signal,
@@ -22,14 +21,10 @@ from .continuation import (
 from .cli import run
 from .errors import BoundaryError, ConvergenceError, DomainError, RegimeLabError
 from .model import (
-    AgentAction,
-    Fundamental,
     ModelParams,
     RegimeDecision,
-    agent_payoff,
     cost,
     policymaker_payoff,
-    validate_params,
 )
 from .signaling import (
     PolicyRegion,
@@ -38,7 +33,6 @@ from .signaling import (
     classify_region,
     ex_post_welfare,
     max_policy,
-    policy_strategy,
     solve_signaling,
 )
 from .simulate import (
@@ -52,7 +46,6 @@ from .simulate import (
 from .statics import (
     NoiseRegime,
     SigmaRegime,
-    SweepRow,
     Verdict,
     WelfareComparison,
     compare_welfare,
@@ -62,19 +55,17 @@ from .statics import (
     sweep,
     welfare_derivative_in_rprime,
 )
-from .verify import CheckResult, VerifyReport, default_params_grid, run_verify
+from .verify import CheckResult, VerifyReport, run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentAction",
     "BoundaryError",
     "CheckResult",
     "ContinuationEquilibrium",
     "ConvergenceError",
     "DomainError",
     "DominanceTrace",
-    "Fundamental",
     "ModelParams",
     "NoiseRegime",
     "PolicyRegion",
@@ -85,26 +76,21 @@ __all__ = [
     "SignalingEquilibrium",
     "SimConfig",
     "SimOutcome",
-    "SweepRow",
     "Verdict",
     "VerifyReport",
     "WelfareComparison",
-    "agent_payoff",
     "aggregate_attack_no_intervention",
     "attack_mass",
     "best_response_cutoff",
     "classify_region",
     "closed_form_thresholds",
     "compare_welfare",
-    "continuation_welfare",
     "cost",
     "critical_sigma",
-    "default_params_grid",
     "ex_post_welfare",
     "finite_best_response",
     "lower_threshold_sensitivity",
     "max_policy",
-    "policy_strategy",
     "policymaker_payoff",
     "regime_fall_threshold",
     "run",
@@ -116,6 +102,5 @@ __all__ = [
     "solve_signaling",
     "success_prob_given_signal",
     "sweep",
-    "validate_params",
     "welfare_derivative_in_rprime",
 ]

@@ -33,19 +33,14 @@ from collections.abc import Iterator
 from enum import Enum
 from itertools import repeat, starmap
 
-import numpy as np
-
 from .continuation import closed_form_thresholds, require_tolerance, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError
-from .model import ModelParams, validate_params
-from .signaling import (
-    aggregate_attack_no_intervention,
-    classify_region,
-    ex_post_welfare,
-    solve_signaling,
-)
+from .model import ModelParams
+# ex_post_welfare is not called here: perfbench's test_tracer_restores_every_binding
+# reads cli.ex_post_welfare. Drop it when that probe moves to statics.
+from .signaling import ex_post_welfare, solve_signaling  # noqa: F401
 from .simulate import SimConfig, simulate_continuation, simulate_signaling
-from .statics import compare_welfare
+from .statics import compare_welfare, sweep
 from .verify import DEFAULT_RBAR_GRID, DEFAULT_SIGMA_GRID, run_verify
 
 _COLUMNS = {
@@ -162,7 +157,10 @@ def _load_config_file(path: str) -> dict[str, str]:
                         f"{path}:{lineno}: expected key=value, got {stripped!r}"
                     )
                 key, _, value = stripped.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip()
+                if key.replace("_", "-") not in _OPTIONS:
+                    raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key.replace("-", "_")] = value.strip()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     return values
@@ -282,7 +280,7 @@ def _params_from(opts: _Options, default_rbar: str | None = None) -> ModelParams
     raw_rbar = opts.get("rbar", default_rbar)
     if raw_rbar is None:
         raise DomainError("missing required option --rbar")
-    return validate_params(sigma, _parse_float(raw_rbar, "rbar"))
+    return ModelParams(sigma, _parse_float(raw_rbar, "rbar"))
 
 
 def _format_from(opts: _Options, default: str = "csv") -> str:
@@ -335,37 +333,16 @@ def _cmd_signaling(opts: _Options) -> int:
     return 0
 
 
-# Slices of the theta grid bound each numpy temporary to 128 KiB; whole-grid
-# temporaries of a dense sweep fragment the heap and raise its peak memory.
-_SWEEP_SLICE = 16_384
-
-
-def _sweep_rows(
-    params: ModelParams, r_primes: list[float], thetas: list[float]
-) -> list[tuple]:
-    """welfare-sweep rows: one block per r_prime, evaluated a grid slice at a time."""
-    rows = []
-    for r_prime in r_primes:
-        eq = solve_signaling(params, r_prime)
-        for start in range(0, len(thetas), _SWEEP_SLICE):
-            part = thetas[start : start + _SWEEP_SLICE]
-            grid = np.array(part)
-            rows += zip(
-                repeat(params.sigma),
-                repeat(params.r_lower),
-                repeat(r_prime),
-                part,
-                classify_region(eq, grid),
-                aggregate_attack_no_intervention(params, eq, grid).tolist(),
-                ex_post_welfare(params, eq, grid).tolist(),
-            )
-    return rows
-
-
 def _cmd_welfare_sweep(opts: _Options) -> int:
     params = _params_from(opts)
     r_primes = _parse_float_list(opts.require("rprime"), "rprime")
-    rows = _sweep_rows(params, r_primes, _parse_theta_spec(opts.require("theta")))
+    thetas = _parse_theta_spec(opts.require("theta"))
+    rows = []
+    for r_prime, part, regions, attacks, welfares in sweep(params, r_primes, thetas):
+        rows += zip(
+            repeat(params.sigma), repeat(params.r_lower), repeat(r_prime),
+            part, regions, attacks, welfares,
+        )
     _emit_rows("welfare-sweep", rows, _format_from(opts), opts.get("out"))
     return 0
 
@@ -407,6 +384,9 @@ def _cmd_simulate(opts: _Options) -> int:
     raw_r = opts.get("r")
     if raw_rprime is not None and raw_r is not None:
         raise DomainError("pass either --r (continuation) or --rprime (signaling)")
+    raw_cutoff = opts.get("x_cutoff")
+    if raw_rprime is not None and raw_cutoff is not None:
+        raise DomainError("--x-cutoff applies only with --r; signaling mode plays x_prime")
 
     if raw_rprime is not None:
         mode = "signaling"
@@ -416,7 +396,6 @@ def _cmd_simulate(opts: _Options) -> int:
     elif raw_r is not None:
         mode = "continuation"
         policy = _parse_float(raw_r, "r")
-        raw_cutoff = opts.get("x_cutoff")
         if raw_cutoff is not None:
             cutoff = _parse_float(raw_cutoff, "x-cutoff")
         else:
@@ -453,7 +432,7 @@ def _cmd_verify(opts: _Options) -> int:
     rbars = _parse_float_list(
         opts.get("rbar", ",".join(str(r) for r in DEFAULT_RBAR_GRID)), "rbar"
     )
-    grid = [validate_params(s, rb) for s in sigmas for rb in rbars]
+    grid = [ModelParams(s, rb) for s in sigmas for rb in rbars]
     report = run_verify(grid)
     fmt = _format_from(opts, default="json")
     out = opts.get("out")
@@ -486,26 +465,29 @@ def _cmd_verify(opts: _Options) -> int:
 # argument wiring
 
 
+# The long options of every subcommand; a --config key must name one of them.
+_OPTIONS = {
+    "sigma": dict(help="signal noise half-width"),
+    "rbar": dict(help="baseline policy level in (0,1)"),
+    "r": dict(help="policy level of the fixed-policy game"),
+    "rprime": dict(help="intervention level(s), comma separated where allowed"),
+    "rprime-hi": dict(dest="rprime_hi", help="higher intervention level"),
+    "theta": dict(help="fundamental grid, lo:hi:step or a single value"),
+    "x-cutoff": dict(dest="x_cutoff", help="override the attack cutoff (with --r)"),
+    "solver": dict(choices=["closed-form", "iterated"], help="threshold solver"),
+    "tol": dict(help="tolerance"),
+    "agents": dict(help="agents per replication"),
+    "reps": dict(help="number of replications"),
+    "seed": dict(help="64-bit master seed"),
+    "format": dict(choices=["csv", "json"], help="output format"),
+    "out": dict(help="output file (stdout if omitted)"),
+    "config": dict(help="flat key=value defaults file; flags win"),
+}
+
+
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "sigma": dict(help="signal noise half-width"),
-        "rbar": dict(help="baseline policy level in (0,1)"),
-        "r": dict(help="policy level of the fixed-policy game"),
-        "rprime": dict(help="intervention level(s), comma separated where allowed"),
-        "rprime-hi": dict(dest="rprime_hi", help="higher intervention level"),
-        "theta": dict(help="fundamental grid, lo:hi:step or a single value"),
-        "x-cutoff": dict(dest="x_cutoff", help="override the attack cutoff"),
-        "solver": dict(choices=["closed-form", "iterated"], help="threshold solver"),
-        "tol": dict(help="tolerance"),
-        "agents": dict(help="agents per replication"),
-        "reps": dict(help="number of replications"),
-        "seed": dict(help="64-bit master seed"),
-        "format": dict(choices=["csv", "json"], help="output format"),
-        "out": dict(help="output file (stdout if omitted)"),
-        "config": dict(help="flat key=value defaults file; flags win"),
-    }
     for name in names:
-        parser.add_argument(f"--{name}", **spec[name])
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:

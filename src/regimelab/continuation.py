@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, clamp_unit, cost, quiet_overflow
+from .model import ModelParams, clamp_unit, quiet_overflow
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,6 @@ def attack_mass(params: ModelParams, x_cutoff: float, theta: float) -> float:
     x_cutoff and theta may be arrays that broadcast together.
     """
     return clamp_unit((x_cutoff - theta + params.sigma) / (2.0 * params.sigma))
-
-
-def continuation_welfare(params: ModelParams, r: float, theta: float) -> float:
-    """Policymaker welfare when r is exogenous and public.
-
-    The regime is abandoned at or below the fall threshold (paying only the
-    policy cost); above it the policymaker nets theta minus the equilibrium
-    attack minus the cost. Used as the no-signalling benchmark in sweeps.
-    """
-    eq = closed_form_thresholds(params, r)
-    c = cost(params, r)
-    if theta <= eq.theta_cutoff:
-        return -c
-    return theta - attack_mass(params, eq.x_cutoff, theta) - c
 
 
 @quiet_overflow

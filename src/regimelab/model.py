@@ -5,26 +5,18 @@ strength is an unobserved fundamental theta. The policymaker first picks a
 publicly observed policy level r (raising it above the baseline is costly),
 agents then act on noisy private signals of theta, and finally the
 policymaker either maintains or abandons the regime after seeing the attack
-mass alpha. Everything downstream consumes the three payoff primitives
-defined here.
+mass alpha. Everything downstream consumes the two payoff primitives
+defined here: the policy cost and the policymaker's payoff.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-
-
-class AgentAction(Enum):
-    """An individual agent either attacks the regime or refrains."""
-
-    ATTACK = "attack"
-    REFRAIN = "refrain"
 
 
 class RegimeDecision(Enum):
@@ -54,22 +46,6 @@ class ModelParams:
             raise DomainError("r_lower must lie in (0,1)")
 
 
-@dataclass(frozen=True)
-class Fundamental:
-    """Regime strength drawn by nature; any finite real, no sign restriction."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise DomainError("theta must be finite")
-
-
-def validate_params(sigma: float, r_lower: float) -> ModelParams:
-    """Build a ModelParams, rejecting out-of-range primitives."""
-    return ModelParams(float(sigma), float(r_lower))
-
-
 # A curve computes every branch on the whole grid before selecting one per
 # point; overflow in an unselected branch is silent, as float arithmetic is.
 quiet_overflow = np.errstate(over="ignore", invalid="ignore")
@@ -95,21 +71,6 @@ def cost(params: ModelParams, r: float) -> float:
         raise DomainError("r must be nonnegative")
     d = r - params.r_lower
     return 0.5 * d * d
-
-
-def agent_payoff(action: AgentAction, r: float, decision: RegimeDecision) -> float:
-    """Payoff to a single agent.
-
-    Attacking costs r; it pays the success premium 1 only if the regime is
-    abandoned. Refraining pays 0 regardless.
-    """
-    if not r >= 0.0:
-        raise DomainError("r must be nonnegative")
-    if action is AgentAction.REFRAIN:
-        return 0.0
-    if decision is RegimeDecision.ABANDON:
-        return 1.0 - r
-    return -r
 
 
 def policymaker_payoff(

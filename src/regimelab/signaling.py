@@ -102,13 +102,6 @@ def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium
     )
 
 
-def policy_strategy(eq: SignalingEquilibrium, params: ModelParams, theta: float) -> float:
-    """Equilibrium policy choice: intervene on the closed band, baseline elsewhere."""
-    if eq.theta_lower <= theta <= eq.theta_upper:
-        return eq.r_prime
-    return params.r_lower
-
-
 # The curves below take theta as a float or an array (eq's fields may broadcast
 # against it). np.select keeps the branch order: the first true condition wins.
 

@@ -15,9 +15,9 @@ signal and shrinks the residual attack.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -78,17 +78,6 @@ class WelfareComparison:
     region_low: tuple[PolicyRegion, ...]
     verdicts: tuple[Verdict, ...]
     attack_low: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (r_prime, theta) point of a welfare sweep."""
-
-    r_prime: float
-    theta: float
-    region: PolicyRegion
-    attack: float
-    welfare: float
 
 
 def critical_sigma(params: ModelParams) -> float:
@@ -189,34 +178,32 @@ def compare_welfare(
     )
 
 
-def sweep(
-    params: ModelParams,
-    r_prime_list: list[float],
-    theta_range: tuple[float, float, int],
-) -> list[SweepRow]:
-    """Tabulate region, attack, and welfare over a (r_prime, theta) grid.
+# Slices of the theta grid bound each numpy temporary to 128 KiB; whole-grid
+# temporaries of a dense sweep fragment the heap and raise its peak memory.
+_SWEEP_SLICE = 16_384
 
-    theta_range is (lo, hi, n) with n >= 2 evenly spaced points, endpoints
-    included. Rows are ordered r_prime outer, theta inner. An empty family
-    list yields an empty table.
+
+def sweep(
+    params: ModelParams, r_primes: list[float], thetas: list[float]
+) -> Iterator[tuple[float, list[float], np.ndarray, list[float], list[float]]]:
+    """Region, attack and welfare over an (r_prime, theta) grid, a slice at a time.
+
+    Yields (r_prime, theta_slice, regions, attacks, welfares) with r_prime
+    outer and theta inner: theta_slice is the next _SWEEP_SLICE points of
+    thetas, regions an object array of PolicyRegion members, and attacks
+    (after no intervention) and welfares lists of floats, all of its length.
+    Each r_prime is solved, and so checked, before its first slice. An empty
+    family yields nothing.
     """
-    if not r_prime_list:
-        return []
-    lo, hi, n = theta_range
-    if n < 2:
-        raise DomainError("theta_range needs at least 2 points")
-    if hi < lo:
-        raise DomainError("theta_range must have lo <= hi")
-    thetas = np.linspace(lo, hi, int(n))
-    rows: list[SweepRow] = []
-    for r_prime in r_prime_list:
+    for r_prime in r_primes:
         eq = solve_signaling(params, r_prime)
-        rows += map(
-            SweepRow,
-            repeat(r_prime),
-            thetas.tolist(),
-            classify_region(eq, thetas),
-            aggregate_attack_no_intervention(params, eq, thetas).tolist(),
-            ex_post_welfare(params, eq, thetas).tolist(),
-        )
-    return rows
+        for start in range(0, len(thetas), _SWEEP_SLICE):
+            part = thetas[start : start + _SWEEP_SLICE]
+            grid = np.array(part)
+            yield (
+                r_prime,
+                part,
+                classify_region(eq, grid),
+                aggregate_attack_no_intervention(params, eq, grid).tolist(),
+                ex_post_welfare(params, eq, grid).tolist(),
+            )

@@ -353,14 +353,7 @@ def run_verify(
     return VerifyReport(results=tuple(results))
 
 
+# verify's default grid is their product: both noise regimes for every baseline.
 DEFAULT_SIGMA_GRID = (0.5, 1.0, 2.0, 3.0)
 DEFAULT_RBAR_GRID = (0.2, 0.35, 0.5)
 
-
-def default_params_grid() -> list[ModelParams]:
-    """Product grid covering both noise regimes for every baseline."""
-    return [
-        ModelParams(sigma=s, r_lower=rb)
-        for s in DEFAULT_SIGMA_GRID
-        for rb in DEFAULT_RBAR_GRID
-    ]

@@ -20,10 +20,8 @@ from regimelab import (
     run,
     run_verify,
     solve_signaling,
-    validate_params,
 )
 from regimelab.cli import _COLUMNS, _emit_rows, _parse_theta_spec
-from regimelab.continuation import continuation_welfare
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
 
@@ -258,6 +256,16 @@ class TestSimulateCommand:
         assert code == 2
         assert "either" in capsys.readouterr().err
 
+    def test_x_cutoff_with_rprime_rejected(self, capsys):
+        # Signalling mode plays x_prime; the override used to be read by
+        # nothing, so the output matched the run without it, with exit 0.
+        code = run(["simulate", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+                    "--x-cutoff", "100", "--theta", "1.0", "--agents", "10", "--reps", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --x-cutoff") and captured.err.count("\n") == 1
+
     def test_agents_above_bound_exits_2(self, capsys):
         # Refused by SimConfig before any panel is drawn.
         code = run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
@@ -327,13 +335,13 @@ class TestVerifyCommand:
 
 class TestVerifyHook:
     def test_perturbed_indifference_fails(self):
-        grid = [validate_params(3.0, 0.2), validate_params(0.5, 0.5)]
+        grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5)]
         report = run_verify(grid, theta_upper_shift=1e-6)
         failed = report.failed_names
         assert "signaling.indifference" in failed
 
     def test_unperturbed_passes(self):
-        grid = [validate_params(3.0, 0.2), validate_params(0.5, 0.5)]
+        grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5)]
         report = run_verify(grid)
         assert report.n_failed == 0
 
@@ -355,6 +363,25 @@ class TestConfigFile:
         code = run(["continuation", "--config", str(config), "--format", "json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["x_cutoff"] == 1.0
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        # A misspelt key used to be dropped: with --rprime passed the run
+        # succeeded, without it the error named the wrong cause.
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=3\nrbar=0.2\nrpime=0.8\n", encoding="utf-8")
+        for extra in (["--rprime", "0.8"], []):
+            assert run(["signaling", "--config", str(config), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {config}:3: unknown key 'rpime'\n"
+
+    def test_key_of_another_subcommand_accepted(self, tmp_path, capsys):
+        # One file may serve several subcommands; each reads only its own keys.
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=3\nrbar=0.2\nrprime=0.8\ntheta=0:7:0.01\nrprime-hi=0.9\n",
+                          encoding="utf-8")
+        assert run(["signaling", "--config", str(config), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["x_prime"] == pytest.approx(2.91)
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -519,31 +546,3 @@ def test_python_dash_m_regimelab_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "sigma,r,x_cutoff,theta_cutoff\n0.5,0.25,1,0.75\n"
     assert proc.stderr == ""
-
-
-class TestContinuationWelfare:
-    def test_no_attack_zone(self):
-        params = validate_params(0.5, 0.2)
-        assert continuation_welfare(params, 0.2, 2.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_abandoned_zone(self):
-        params = validate_params(0.5, 0.2)
-        assert continuation_welfare(params, 0.8, 0.1) == pytest.approx(-0.18, abs=1e-12)
-
-    def test_contested_zone(self):
-        params = validate_params(0.5, 0.2)
-        assert continuation_welfare(params, 0.25, 1.0) == pytest.approx(0.49875, abs=1e-12)
-
-    def test_policy_outside_unit_rejected(self):
-        params = validate_params(0.5, 0.2)
-        with pytest.raises(DomainError):
-            continuation_welfare(params, 1.5, 1.0)
-
-    def test_continuous_at_fall_threshold(self):
-        # The attack mass equals the threshold exactly at the threshold, so the
-        # two branches meet.
-        params = validate_params(0.5, 0.2)
-        eq = closed_form_thresholds(params, 0.25)
-        left = continuation_welfare(params, 0.25, eq.theta_cutoff)
-        right = continuation_welfare(params, 0.25, eq.theta_cutoff + 1e-9)
-        assert right - left == pytest.approx(0.0, abs=1e-8)

@@ -5,9 +5,10 @@ the curve functions, before they were rewritten to evaluate whole grids,
 the simulate grids from the per-theta Monte Carlo, before every theta
 came to share one noise panel per replication, and the iterated-solver
 outputs from the solver with a fixed iteration budget, before it derived
-its own, and the JSON edge cases from the encoder that built one dict per
+its own, the JSON edge cases from the encoder that built one dict per
 row and passed the list to json.dumps(indent=2), before JSON tables came
-to be filled from one row template.
+to be filled from one row template, and the slice-crossing sweep from the
+sweep evaluated in the CLI, before statics.sweep came to yield its slices.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -112,6 +113,13 @@ GOLDENS = {
         ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "",
          "--theta", "0:1:0.5", "--format", "json"],
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 3,
+    ),
+    # 33,001 points per r_prime: three grid slices of statics.sweep, the
+    # last one partial.
+    "welfare-sweep-slices-csv": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8",
+         "--theta", "0:3.3:0.0001"],
+        "d2eb4ff6fe41956d5b44090a4d6b04fcda7dd68779b36b39d67280a4aff74344", 2905723,
     ),
 }
 

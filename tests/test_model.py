@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from regimelab import (
-    AgentAction,
     DomainError,
-    Fundamental,
     ModelParams,
     RegimeDecision,
-    agent_payoff,
     cost,
     max_policy,
     policymaker_payoff,
-    validate_params,
 )
 
 TOL = 1e-12
@@ -22,33 +18,23 @@ PARAMS = ModelParams(sigma=0.5, r_lower=0.2)
 
 
 class TestValidateParams:
+    # ModelParams validates its primitives on construction.
     def test_in_range(self):
-        params = validate_params(0.5, 0.2)
+        params = ModelParams(0.5, 0.2)
         assert params.sigma == 0.5
         assert params.r_lower == 0.2
 
     def test_zero_sigma_rejected(self):
         with pytest.raises(DomainError, match="sigma must be positive"):
-            validate_params(0.0, 0.2)
+            ModelParams(0.0, 0.2)
 
     def test_unit_rbar_rejected(self):
         with pytest.raises(DomainError, match=r"r_lower must lie in \(0,1\)"):
-            validate_params(0.5, 1.0)
+            ModelParams(0.5, 1.0)
 
     def test_nan_sigma_rejected(self):
         with pytest.raises(DomainError):
-            validate_params(float("nan"), 0.2)
-
-
-class TestFundamental:
-    def test_any_finite_real(self):
-        assert Fundamental(-3.5).theta == -3.5
-        assert Fundamental(0.0).theta == 0.0
-
-    def test_non_finite_rejected(self):
-        for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(DomainError, match="finite"):
-                Fundamental(bad)
+            ModelParams(float("nan"), 0.2)
 
 
 class TestCost:
@@ -84,27 +70,6 @@ class TestCost:
         zeros = [float(r) for r, v in zip(rs, values) if v == 0.0]
         assert zeros == [] or all(abs(z - PARAMS.r_lower) < 2e-3 for z in zeros)
         assert cost(PARAMS, PARAMS.r_lower) == 0.0
-
-
-class TestAgentPayoff:
-    def test_successful_attack(self):
-        assert agent_payoff(AgentAction.ATTACK, 0.25, RegimeDecision.ABANDON) == 0.75
-
-    def test_refrain_is_free(self):
-        assert agent_payoff(AgentAction.REFRAIN, 0.9, RegimeDecision.MAINTAIN) == 0.0
-
-    def test_failed_attack(self):
-        assert agent_payoff(AgentAction.ATTACK, 0.25, RegimeDecision.MAINTAIN) == -0.25
-
-    def test_success_premium_is_one(self):
-        for r in np.linspace(0.0, 2.0, 101):
-            win = agent_payoff(AgentAction.ATTACK, float(r), RegimeDecision.ABANDON)
-            lose = agent_payoff(AgentAction.ATTACK, float(r), RegimeDecision.MAINTAIN)
-            assert win - lose == pytest.approx(1.0, abs=TOL)
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(DomainError, match="nonnegative"):
-            agent_payoff(AgentAction.ATTACK, -0.1, RegimeDecision.ABANDON)
 
 
 class TestPolicymakerPayoff:

@@ -13,7 +13,6 @@ from regimelab import (
     cost,
     ex_post_welfare,
     max_policy,
-    policy_strategy,
     solve_signaling,
 )
 
@@ -81,22 +80,27 @@ class TestSolveSignaling:
 
 
 class TestPolicyStrategy:
+    # The equilibrium policy is r_prime exactly where classify_region says
+    # INTERVENE, and the baseline r_lower everywhere else.
     def test_intervenes_inside_band(self):
         eq = solve_signaling(WIDE, 0.8)
-        assert policy_strategy(eq, WIDE, 1.0) == 0.8
+        assert classify_region(eq, 1.0) is PolicyRegion.INTERVENE
 
     def test_baseline_below_band(self):
         eq = solve_signaling(WIDE, 0.8)
-        assert policy_strategy(eq, WIDE, 0.1) == 0.2
+        assert classify_region(eq, 0.1) is PolicyRegion.ABANDON
 
     def test_baseline_above_band(self):
         eq = solve_signaling(WIDE, 0.8)
-        assert policy_strategy(eq, WIDE, 6.0) == 0.2
+        assert classify_region(eq, 6.0) is PolicyRegion.NO_ATTACK
 
     def test_band_is_closed(self):
         eq = solve_signaling(WIDE, 0.8)
-        assert policy_strategy(eq, WIDE, eq.theta_lower) == 0.8
-        assert policy_strategy(eq, WIDE, eq.theta_upper) == 0.8
+        assert classify_region(eq, eq.theta_lower) is PolicyRegion.INTERVENE
+        assert classify_region(eq, eq.theta_upper) is PolicyRegion.INTERVENE
+        assert classify_region(eq, np.nextafter(eq.theta_lower, -np.inf)) is PolicyRegion.ABANDON
+        after = np.nextafter(eq.theta_upper, np.inf)
+        assert classify_region(eq, after) is PolicyRegion.DEFEND_UNDER_ATTACK
 
 
 class TestAggregateAttack:

@@ -10,6 +10,8 @@ from regimelab import (
     NoiseRegime,
     PolicyRegion,
     Verdict,
+    aggregate_attack_no_intervention,
+    classify_region,
     compare_welfare,
     critical_sigma,
     ex_post_welfare,
@@ -222,29 +224,38 @@ class TestCompareWelfare:
             compare_welfare(WIDE, 0.8, 0.9, [2.0, 1.0])
 
 
+def _sweep_table(params, r_primes, thetas):
+    """Every (r_prime, theta, region, attack, welfare) the sweep yields, in order."""
+    return [
+        row
+        for r_prime, part, regions, attacks, welfares in sweep(params, r_primes, thetas)
+        for row in zip([r_prime] * len(part), part, regions, attacks, welfares)
+    ]
+
+
 class TestSweep:
     def test_wide_noise_welfare_rows(self):
-        rows = sweep(WIDE, [0.8], (0.1, 5.0, 50))
-        by_theta = {round(row.theta, 9): row for row in rows}
-        assert by_theta[0.1].welfare == pytest.approx(0.0, abs=TIGHT)
-        assert by_theta[1.0].welfare == pytest.approx(0.82, abs=1e-9)
-        assert by_theta[5.0].welfare == pytest.approx(4.8483333, abs=1e-6)
+        rows = _sweep_table(WIDE, [0.8], np.linspace(0.1, 5.0, 50).tolist())
+        welfare_at = {round(theta, 9): welfare for _, theta, _, _, welfare in rows}
+        assert welfare_at[0.1] == pytest.approx(0.0, abs=TIGHT)
+        assert welfare_at[1.0] == pytest.approx(0.82, abs=1e-9)
+        assert welfare_at[5.0] == pytest.approx(4.8483333, abs=1e-6)
 
     def test_boundary_row_has_no_attack(self):
         eq = solve_signaling(HALF, 0.8)
-        rows = sweep(HALF, [0.8], (eq.theta_no_attack, eq.theta_no_attack, 2))
+        rows = _sweep_table(HALF, [0.8], [eq.theta_no_attack] * 2)
         assert len(rows) == 2
-        for row in rows:
-            assert row.attack == 0.0
-            assert row.welfare == pytest.approx(1.135, abs=TIGHT)
-            assert row.region is PolicyRegion.NO_ATTACK
+        for _, _, region, attack, welfare in rows:
+            assert attack == 0.0
+            assert welfare == pytest.approx(1.135, abs=TIGHT)
+            assert region is PolicyRegion.NO_ATTACK
 
     def test_empty_family_list(self):
-        assert sweep(HALF, [], (0.0, 1.0, 2)) == []
+        assert list(sweep(HALF, [], [0.0, 1.0])) == []
 
     def test_row_ordering(self):
-        rows = sweep(WIDE, [0.5, 0.8], (0.0, 1.0, 3))
-        assert [(row.r_prime, row.theta) for row in rows] == [
+        rows = _sweep_table(WIDE, [0.5, 0.8], [0.0, 0.5, 1.0])
+        assert [row[:2] for row in rows] == [
             (0.5, 0.0),
             (0.5, 0.5),
             (0.5, 1.0),
@@ -253,6 +264,22 @@ class TestSweep:
             (0.8, 1.0),
         ]
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(DomainError):
-            sweep(WIDE, [0.8], (0.0, 1.0, 1))
+    def test_slices_concatenate_to_the_whole_grid(self):
+        # 33,001 points: three slices per r_prime, the last one partial.
+        thetas = [k * 1e-4 for k in range(33_001)]
+        blocks = list(sweep(WIDE, [0.5, 0.8], thetas))
+        assert [(r, len(part)) for r, part, *_ in blocks] == [
+            (r, n) for r in (0.5, 0.8) for n in (16_384, 16_384, 233)
+        ]
+        grid = np.array(thetas)
+        for r_prime in (0.5, 0.8):
+            own = [block for block in blocks if block[0] == r_prime]
+            eq = solve_signaling(WIDE, r_prime)
+            assert [t for _, part, *_ in own for t in part] == thetas
+            regions = np.concatenate([block[2] for block in own])
+            assert regions.tolist() == classify_region(eq, grid).tolist()
+            attacks = np.array([a for block in own for a in block[3]])
+            welfares = np.array([w for block in own for w in block[4]])
+            whole_attack = aggregate_attack_no_intervention(WIDE, eq, grid)
+            assert attacks.tobytes() == whole_attack.tobytes()
+            assert welfares.tobytes() == ex_post_welfare(WIDE, eq, grid).tobytes()
