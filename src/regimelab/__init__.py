@@ -22,7 +22,6 @@ from .cli import run
 from .errors import BoundaryError, ConvergenceError, DomainError, RegimeLabError
 from .model import (
     ModelParams,
-    RegimeDecision,
     cost,
     policymaker_payoff,
 )
@@ -36,7 +35,6 @@ from .signaling import (
     solve_signaling,
 )
 from .simulate import (
-    RepResult,
     SimConfig,
     SimOutcome,
     finite_best_response,
@@ -44,14 +42,11 @@ from .simulate import (
     simulate_signaling,
 )
 from .statics import (
-    NoiseRegime,
-    SigmaRegime,
     Verdict,
     WelfareComparison,
     compare_welfare,
     critical_sigma,
     lower_threshold_sensitivity,
-    sigma_regime,
     sweep,
     welfare_derivative_in_rprime,
 )
@@ -67,12 +62,8 @@ __all__ = [
     "DomainError",
     "DominanceTrace",
     "ModelParams",
-    "NoiseRegime",
     "PolicyRegion",
-    "RegimeDecision",
     "RegimeLabError",
-    "RepResult",
-    "SigmaRegime",
     "SignalingEquilibrium",
     "SimConfig",
     "SimOutcome",
@@ -95,7 +86,6 @@ __all__ = [
     "regime_fall_threshold",
     "run",
     "run_verify",
-    "sigma_regime",
     "simulate_continuation",
     "simulate_signaling",
     "solve_iterated_dominance",

@@ -160,6 +160,8 @@ def _load_config_file(path: str) -> dict[str, str]:
                 key = key.strip()
                 if key.replace("_", "-") not in _OPTIONS:
                     raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+                if key == "config":
+                    raise DomainError(f"{path}:{lineno}: a config file cannot name another one")
                 values[key.replace("-", "_")] = value.strip()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
@@ -392,7 +394,7 @@ def _cmd_simulate(opts: _Options) -> int:
         mode = "signaling"
         eq = solve_signaling(params, _parse_float(raw_rprime, "rprime"))
         policy, cutoff = eq.r_prime, eq.x_prime
-        outcomes = simulate_signaling(params, eq, thetas, config)
+        outcome = simulate_signaling(params, eq, thetas, config)
     elif raw_r is not None:
         mode = "continuation"
         policy = _parse_float(raw_r, "r")
@@ -400,27 +402,26 @@ def _cmd_simulate(opts: _Options) -> int:
             cutoff = _parse_float(raw_cutoff, "x-cutoff")
         else:
             cutoff = closed_form_thresholds(params, policy).x_cutoff
-        outcomes = simulate_continuation(params, policy, thetas, cutoff, config)
+        outcome = simulate_continuation(params, policy, thetas, cutoff, config)
     else:
         raise DomainError("pass either --r (continuation) or --rprime (signaling)")
-    rows = [
-        (
-            params.sigma,
-            params.r_lower,
-            mode,
-            policy,
-            cutoff,
-            theta,
-            config.n_agents,
-            config.n_reps,
-            config.master_seed,
-            outcome.alpha_mean,
-            outcome.alpha_halfwidth,
-            outcome.fall_frequency,
-            outcome.welfare_mean,
+    rows = list(
+        zip(
+            repeat(params.sigma),
+            repeat(params.r_lower),
+            repeat(mode),
+            repeat(policy),
+            repeat(cutoff),
+            thetas,
+            repeat(config.n_agents),
+            repeat(config.n_reps),
+            repeat(config.master_seed),
+            outcome.alpha_mean.tolist(),
+            outcome.alpha_halfwidth.tolist(),
+            outcome.fall_frequency.tolist(),
+            outcome.welfare_mean.tolist(),
         )
-        for theta, outcome in zip(thetas, outcomes)
-    ]
+    )
     _emit_rows("simulate", rows, _format_from(opts), opts.get("out"))
     return 0
 

@@ -6,24 +6,18 @@ publicly observed policy level r (raising it above the baseline is costly),
 agents then act on noisy private signals of theta, and finally the
 policymaker either maintains or abandons the regime after seeing the attack
 mass alpha. Everything downstream consumes the two payoff primitives
-defined here: the policy cost and the policymaker's payoff.
+defined here: the policy cost and the policymaker's payoff. The final move
+is the bool abandon, so one call scores a whole (theta, replication) matrix
+of Monte Carlo decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-
-
-class RegimeDecision(Enum):
-    """The policymaker's final move: maintain the status quo or abandon it."""
-
-    MAINTAIN = "maintain"
-    ABANDON = "abandon"
 
 
 @dataclass(frozen=True)
@@ -76,18 +70,18 @@ def cost(params: ModelParams, r: float) -> float:
 def policymaker_payoff(
     params: ModelParams,
     r: float,
-    decision: RegimeDecision,
+    abandon: bool,
     theta: float,
     alpha: float,
 ) -> float:
     """Policymaker's realized payoff.
 
     Maintaining yields the fundamental net of the attack mass, theta - alpha;
-    abandoning yields 0. The policy cost is sunk either way.
+    abandoning yields 0. The policy cost is sunk either way. Every argument
+    after params may be an array; they broadcast together, and a scalar
+    input returns a float.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise DomainError("alpha must lie in [0,1]")
     c = cost(params, r)
-    if decision is RegimeDecision.ABANDON:
-        return -c
-    return (theta - alpha) - c
+    return float_or_array(np.where(abandon, -c, (theta - alpha) - c))

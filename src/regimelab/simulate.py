@@ -12,18 +12,22 @@ Replications are seeded independently: a counter-based mix (splitmix64) of
 the master seed, a stream tag, and the replication index yields each
 sub-seed, so results are bit-identical across runs. Each replication draws
 one noise panel, shared by every theta of a grid (common random numbers).
+
+A run fills one (theta, replication) matrix of attack fractions, theta-major,
+and reduces it row by row into one SimOutcome: float fields for a scalar
+theta, arrays in grid order for a grid, as the curve functions return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, RegimeDecision, cost, policymaker_payoff
+from .model import ModelParams, float_or_array, policymaker_payoff
 from .signaling import SignalingEquilibrium
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -69,38 +73,63 @@ class SimConfig:
             raise DomainError("master_seed must be a 64-bit unsigned integer")
 
 
-class RepResult(NamedTuple):
-    alpha: float
-    decision: RegimeDecision
-    welfare: float
-
-
 @dataclass(frozen=True)
 class SimOutcome:
-    """Aggregates across replications, plus the per-replication detail."""
+    """Aggregates across replications: floats for a scalar theta, arrays over a grid."""
 
-    alpha_mean: float
-    alpha_halfwidth: float
-    fall_frequency: float
-    welfare_mean: float
-    per_rep: tuple[RepResult, ...]
+    alpha_mean: float | np.ndarray
+    alpha_halfwidth: float | np.ndarray
+    fall_frequency: float | np.ndarray
+    welfare_mean: float | np.ndarray
 
 
-def _aggregate(reps: list[RepResult]) -> SimOutcome:
-    alphas = np.array([rep.alpha for rep in reps])
-    n = len(reps)
+def _attack_fractions(
+    params: ModelParams, thetas: np.ndarray, x_cutoff: float, config: SimConfig
+) -> np.ndarray:
+    """The (theta, replication) matrix of sample attack fractions.
+
+    Each replication draws one noise panel and counts, for every theta, the
+    signals fl(theta + eps) at or below x_cutoff. An empty grid draws nothing.
+    """
+    alphas = np.empty((thetas.size, config.n_reps))
+    if not thetas.size:
+        return alphas
+    if not math.isfinite(2.0 * params.sigma):
+        raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
+    buf = np.empty(config.n_agents)
+    for k in range(config.n_reps):
+        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+        eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
+        for i, t in enumerate(thetas.tolist()):
+            np.add(t, eps, out=buf)
+            alphas[i, k] = np.count_nonzero(buf <= x_cutoff)
+        del eps  # hold one panel at a time: release it before the next draw
+    return alphas / config.n_agents
+
+
+def _outcome(
+    params: ModelParams, r: float | np.ndarray, theta, alphas: np.ndarray
+) -> SimOutcome:
+    """Score each replication at its realized attack fraction and aggregate each row.
+
+    The regime falls iff theta <= alpha (ties fall). r is one policy or a
+    column of them, one per row; the fields take theta's shape.
+    """
+    thetas = np.asarray(theta, dtype=float).reshape(-1, 1)
+    falls = thetas <= alphas
+    welfare = policymaker_payoff(params, r, falls, thetas, alphas)
+    n = alphas.shape[1]
     if n > 1:
-        halfwidth = _Z99 * float(np.std(alphas, ddof=1)) / math.sqrt(n)
+        halfwidth = _Z99 * np.std(alphas, axis=1, ddof=1) / math.sqrt(n)
     else:
-        halfwidth = 0.0
-    falls = sum(1 for rep in reps if rep.decision is RegimeDecision.ABANDON)
-    return SimOutcome(
-        alpha_mean=float(np.mean(alphas)),
-        alpha_halfwidth=halfwidth,
-        fall_frequency=falls / n,
-        welfare_mean=float(np.mean([rep.welfare for rep in reps])),
-        per_rep=tuple(reps),
+        halfwidth = np.zeros(len(alphas))
+    fields = (
+        np.mean(alphas, axis=1),
+        halfwidth,
+        np.count_nonzero(falls, axis=1) / n,
+        np.mean(welfare, axis=1),
     )
+    return SimOutcome(*(float_or_array(f.reshape(np.shape(theta))) for f in fields))
 
 
 def simulate_continuation(
@@ -109,36 +138,20 @@ def simulate_continuation(
     theta: float | Sequence[float],
     x_cutoff: float,
     config: SimConfig,
-) -> SimOutcome | tuple[SimOutcome, ...]:
+) -> SimOutcome:
     """Play the fixed-policy game with n_agents sampled signals.
 
     Per replication: draw signals theta + eps with eps uniform on
     [-sigma, sigma], attack iff the signal is at or below x_cutoff, abandon
     iff theta <= attack fraction (ties fall), score the policymaker at the
-    realized attack fraction. A sequence of thetas gives a tuple of outcomes
-    in grid order, each as its own draw would: one panel serves every theta.
+    realized attack fraction. A scalar theta gives float fields; a grid
+    gives arrays in grid order, each entry as its own draw would: one panel
+    serves every theta.
     """
     if not r >= 0.0:
         raise DomainError("r must be nonnegative")
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float)).tolist()
-    if not thetas:
-        return ()
-    if not math.isfinite(2.0 * params.sigma):
-        raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
-    per_theta: list[list[RepResult]] = [[] for _ in thetas]
-    buf = np.empty(config.n_agents)
-    for k in range(config.n_reps):
-        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-        eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
-        for t, reps in zip(thetas, per_theta):
-            np.add(t, eps, out=buf)
-            alpha = float(np.count_nonzero(buf <= x_cutoff)) / config.n_agents
-            decision = RegimeDecision.ABANDON if t <= alpha else RegimeDecision.MAINTAIN
-            welfare = policymaker_payoff(params, r, decision, t, alpha)
-            reps.append(RepResult(alpha=alpha, decision=decision, welfare=welfare))
-        del eps  # hold one panel at a time: release it before the next draw
-    outcomes = tuple(_aggregate(reps) for reps in per_theta)
-    return outcomes[0] if np.ndim(theta) == 0 else outcomes
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    return _outcome(params, r, theta, _attack_fractions(params, thetas, x_cutoff, config))
 
 
 def simulate_signaling(
@@ -146,26 +159,21 @@ def simulate_signaling(
     eq: SignalingEquilibrium,
     theta: float | Sequence[float],
     config: SimConfig,
-) -> SimOutcome | tuple[SimOutcome, ...]:
-    """Play one fundamental (or a sequence of them) of the signalling equilibrium.
+) -> SimOutcome:
+    """Play one fundamental (or a grid of them) of the signalling equilibrium.
 
     On the intervention band the outcome is deterministic: the raised policy
-    is read as strength, nobody attacks, and the policymaker nets
-    theta - cost(r_prime). Elsewhere the baseline policy is observed and the
-    continuation game runs with the off-path cutoff x_prime, over all the
-    off-band thetas at once.
+    is read as strength, nobody attacks (alpha = 0, nothing is drawn), and
+    the policymaker is scored at r_prime. Elsewhere the baseline policy is
+    observed and the continuation game runs with the off-path cutoff
+    x_prime, over all the off-band thetas at once.
     """
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float)).tolist()
-    on_band = [eq.theta_lower <= t <= eq.theta_upper for t in thetas]
-    off_band = [t for t, band in zip(thetas, on_band) if not band]
-    simulated = iter(simulate_continuation(params, params.r_lower, off_band, eq.x_prime, config))
-    net_cost = cost(params, eq.r_prime)
-    outcomes = tuple(
-        _aggregate([RepResult(0.0, RegimeDecision.MAINTAIN, t - net_cost)] * config.n_reps)
-        if band else next(simulated)
-        for t, band in zip(thetas, on_band)
-    )
-    return outcomes[0] if np.ndim(theta) == 0 else outcomes
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    on_band = (eq.theta_lower <= thetas) & (thetas <= eq.theta_upper)
+    alphas = np.zeros((thetas.size, config.n_reps))
+    alphas[~on_band] = _attack_fractions(params, thetas[~on_band], eq.x_prime, config)
+    r = np.where(on_band, eq.r_prime, params.r_lower)[:, None]
+    return _outcome(params, r, theta, alphas)
 
 
 def _empirical_fall_threshold(sorted_eps: np.ndarray, x_hat: float) -> float:

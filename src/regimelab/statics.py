@@ -35,21 +35,6 @@ from .signaling import (
 )
 
 
-class NoiseRegime(Enum):
-    """Which side of the critical noise level sigma sits on."""
-
-    PRECISE = "precise"
-    NOISY = "noisy"
-
-
-@dataclass(frozen=True)
-class SigmaRegime:
-    """Noise classification together with the critical level it is judged by."""
-
-    regime: NoiseRegime
-    sigma_star: float
-
-
 class Verdict(Enum):
     """Pointwise welfare comparison between two intervention levels."""
 
@@ -83,13 +68,6 @@ class WelfareComparison:
 def critical_sigma(params: ModelParams) -> float:
     """Noise level separating uniformly-harmful from double-edged intervention."""
     return (1.0 - params.r_lower) / (2.0 * params.r_lower)
-
-
-def sigma_regime(params: ModelParams) -> SigmaRegime:
-    """Classify the environment's noise level against the critical one."""
-    star = critical_sigma(params)
-    regime = NoiseRegime.NOISY if params.sigma > star else NoiseRegime.PRECISE
-    return SigmaRegime(regime=regime, sigma_star=star)
 
 
 def lower_threshold_sensitivity(params: ModelParams, r_prime: float) -> float:

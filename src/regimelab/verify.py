@@ -9,16 +9,11 @@ each parameter point it evaluates its whole policy or family grid (and the
 theta probes on it) as arrays in one pass.
 Failures are data, not exceptions: callers read the report and pick an
 exit code.
-
-``theta_upper_shift`` is a fault-injection hook for testing the harness
-itself: it perturbs the indifference threshold before the indifference
-check, which must then fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -38,12 +33,7 @@ from .signaling import (
     max_policy,
     solve_signaling,
 )
-from .statics import (
-    NoiseRegime,
-    lower_threshold_sensitivity,
-    sigma_regime,
-    welfare_derivative_in_rprime,
-)
+from .statics import critical_sigma, lower_threshold_sensitivity, welfare_derivative_in_rprime
 
 _TIGHT = 1e-12
 _SOLVER = 1e-9
@@ -167,14 +157,12 @@ def _check_signaling_cost_threshold(params: ModelParams) -> tuple[int, float]:
     return eq.r_prime.size, _worst(np.abs(eq.theta_lower - cost(params, eq.r_prime)))
 
 
-def _check_signaling_indifference(
-    theta_upper_shift: float, params: ModelParams
-) -> tuple[int, float]:
+def _check_signaling_indifference(params: ModelParams) -> tuple[int, float]:
     # Routed through the signal-cutoff ramp rather than the piecewise form:
     # the piecewise form hits theta_lower at its own theta_upper by
     # construction and would mask an error in theta_upper itself.
     eq = _family(params)
-    mass = attack_mass(params, eq.x_prime, eq.theta_upper + theta_upper_shift)
+    mass = attack_mass(params, eq.x_prime, eq.theta_upper)
     return eq.r_prime.size, _worst(np.abs(mass - eq.theta_lower))
 
 
@@ -267,7 +255,7 @@ def _probe_derivatives(
 
 
 def _check_derivative_signs(params: ModelParams) -> tuple[int, float]:
-    noisy = sigma_regime(params).regime is NoiseRegime.NOISY
+    noisy = params.sigma > critical_sigma(params)
     eq = _family(params)
     points, deriv, counted = _probe_derivatives(params, eq)
     region = classify_region(eq, points)
@@ -303,36 +291,31 @@ def _check_threshold_sensitivity(params: ModelParams) -> tuple[int, float]:
     return inner.size, _worst(np.abs(analytic - fd))
 
 
-def _checks(shift: float) -> list[tuple]:
-    """Each cross-check as (name, check of one parameter point, tolerance)."""
-    return [
-        ("continuation.closed-form", _check_continuation_closed_form, _TIGHT),
-        ("continuation.fixed-point", _check_continuation_fixed_point, _TIGHT),
-        ("continuation.indifference", _check_continuation_indifference, _TIGHT),
-        ("continuation.dominance-oracle", _check_continuation_dominance, _SOLVER),
-        # Strict decrease: the worst signed difference must stay below zero.
-        ("continuation.monotonicity", _check_continuation_monotonicity, -1e-15),
-        ("signaling.cost-threshold", _check_signaling_cost_threshold, _TIGHT),
-        ("signaling.indifference", partial(_check_signaling_indifference, shift), _TIGHT),
-        ("signaling.attack-consistency", _check_signaling_attack_consistency, _TIGHT),
-        ("signaling.alternative-form", _check_signaling_alt_form, _TIGHT),
-        ("signaling.ordering", _check_signaling_ordering, _TIGHT),
-        ("welfare.continuity", _check_welfare_continuity, _TIGHT),
-        ("welfare.branch-consistency", _check_welfare_branch_consistency, _TIGHT),
-        ("statics.derivative-signs", _check_derivative_signs, _TIGHT),
-        ("statics.derivative-finite-difference", _check_derivative_finite_difference, _DERIV),
-        ("statics.threshold-sensitivity", _check_threshold_sensitivity, _DERIV),
-    ]
+# Each cross-check as (name, check of one parameter point, tolerance).
+_CHECKS = (
+    ("continuation.closed-form", _check_continuation_closed_form, _TIGHT),
+    ("continuation.fixed-point", _check_continuation_fixed_point, _TIGHT),
+    ("continuation.indifference", _check_continuation_indifference, _TIGHT),
+    ("continuation.dominance-oracle", _check_continuation_dominance, _SOLVER),
+    # Strict decrease: the worst signed difference must stay below zero.
+    ("continuation.monotonicity", _check_continuation_monotonicity, -1e-15),
+    ("signaling.cost-threshold", _check_signaling_cost_threshold, _TIGHT),
+    ("signaling.indifference", _check_signaling_indifference, _TIGHT),
+    ("signaling.attack-consistency", _check_signaling_attack_consistency, _TIGHT),
+    ("signaling.alternative-form", _check_signaling_alt_form, _TIGHT),
+    ("signaling.ordering", _check_signaling_ordering, _TIGHT),
+    ("welfare.continuity", _check_welfare_continuity, _TIGHT),
+    ("welfare.branch-consistency", _check_welfare_branch_consistency, _TIGHT),
+    ("statics.derivative-signs", _check_derivative_signs, _TIGHT),
+    ("statics.derivative-finite-difference", _check_derivative_finite_difference, _DERIV),
+    ("statics.threshold-sensitivity", _check_threshold_sensitivity, _DERIV),
+)
 
 
-def run_verify(
-    params_list: list[ModelParams],
-    *,
-    theta_upper_shift: float = 0.0,
-) -> VerifyReport:
+def run_verify(params_list: list[ModelParams]) -> VerifyReport:
     """Run every cross-check over each parameter point and collect a report."""
     results: list[CheckResult] = []
-    for name, fn, tolerance in _checks(theta_upper_shift):
+    for name, fn, tolerance in _CHECKS:
         points = 0
         worst = -np.inf
         for params in params_list:

@@ -1,6 +1,7 @@
 """CLI behaviour: schemas, determinism, round-trips, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -334,9 +335,18 @@ class TestVerifyCommand:
 
 
 class TestVerifyHook:
-    def test_perturbed_indifference_fails(self):
+    def test_perturbed_indifference_fails(self, monkeypatch):
+        # Fault injection: every equilibrium verify solves has theta_upper
+        # raised by 1e-6, which the indifference check must catch.
+        import regimelab.verify as verify_module
+
+        def shifted(params, r_prime):
+            eq = solve_signaling(params, r_prime)
+            return dataclasses.replace(eq, theta_upper=eq.theta_upper + 1e-6)
+
+        monkeypatch.setattr(verify_module, "solve_signaling", shifted)
         grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5)]
-        report = run_verify(grid, theta_upper_shift=1e-6)
+        report = run_verify(grid)
         failed = report.failed_names
         assert "signaling.indifference" in failed
 
@@ -387,6 +397,17 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("sigma 0.5\n", encoding="utf-8")
         assert run(["continuation", "--config", str(config), "--r", "0.25"]) == 2
+
+    def test_config_key_exits_2(self, tmp_path, capsys):
+        # A nested config path used to be accepted and silently never read.
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=0.5\nconfig=/nonexistent.cfg\n", encoding="utf-8")
+        assert run(["continuation", "--config", str(config), "--r", "0.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {config}:2: a config file cannot name another one\n"
+        )
 
 
 class TestThetaGrid:

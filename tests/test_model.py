@@ -6,7 +6,6 @@ import pytest
 from regimelab import (
     DomainError,
     ModelParams,
-    RegimeDecision,
     cost,
     max_policy,
     policymaker_payoff,
@@ -74,43 +73,52 @@ class TestCost:
 
 class TestPolicymakerPayoff:
     def test_abandon_at_baseline_cost(self):
-        value = policymaker_payoff(PARAMS, 0.2, RegimeDecision.ABANDON, 0.5, 1.0)
+        value = policymaker_payoff(PARAMS, 0.2, True, 0.5, 1.0)
         assert value == 0.0
 
     def test_maintain_nets_theta_minus_attack_minus_cost(self):
-        value = policymaker_payoff(PARAMS, 0.8, RegimeDecision.MAINTAIN, 1.0, 0.0)
+        value = policymaker_payoff(PARAMS, 0.8, False, 1.0, 0.0)
         assert value == pytest.approx(0.82, abs=TOL)
 
     def test_abandon_pays_only_the_cost(self):
-        value = policymaker_payoff(PARAMS, 0.8, RegimeDecision.ABANDON, 5.0, 0.3)
+        value = policymaker_payoff(PARAMS, 0.8, True, 5.0, 0.3)
         assert value == pytest.approx(-0.18, abs=TOL)
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(DomainError, match="alpha"):
-            policymaker_payoff(PARAMS, 0.2, RegimeDecision.MAINTAIN, 0.5, 1.5)
+            policymaker_payoff(PARAMS, 0.2, False, 0.5, 1.5)
 
     def test_abandon_independent_of_theta_and_alpha(self):
-        base = policymaker_payoff(PARAMS, 0.8, RegimeDecision.ABANDON, 0.0, 0.0)
+        base = policymaker_payoff(PARAMS, 0.8, True, 0.0, 0.0)
         for theta in np.linspace(-5.0, 5.0, 11):
             for alpha in np.linspace(0.0, 1.0, 11):
-                assert (
-                    policymaker_payoff(
-                        PARAMS, 0.8, RegimeDecision.ABANDON, float(theta), float(alpha)
-                    )
-                    == base
-                )
+                assert policymaker_payoff(PARAMS, 0.8, True, float(theta), float(alpha)) == base
 
     def test_maintain_slopes(self):
         # Payoff is affine: slope +1 in theta, -1 in alpha.
         h = 0.25
         for theta in (-1.0, 0.5, 3.0):
             for alpha in (0.0, 0.25, 0.5):
-                up = policymaker_payoff(
-                    PARAMS, 0.8, RegimeDecision.MAINTAIN, theta + h, alpha
-                )
-                at = policymaker_payoff(PARAMS, 0.8, RegimeDecision.MAINTAIN, theta, alpha)
+                up = policymaker_payoff(PARAMS, 0.8, False, theta + h, alpha)
+                at = policymaker_payoff(PARAMS, 0.8, False, theta, alpha)
                 assert (up - at) / h == pytest.approx(1.0, abs=TOL)
-                shifted = policymaker_payoff(
-                    PARAMS, 0.8, RegimeDecision.MAINTAIN, theta, alpha + h
-                )
+                shifted = policymaker_payoff(PARAMS, 0.8, False, theta, alpha + h)
                 assert (shifted - at) / h == pytest.approx(-1.0, abs=TOL)
+
+    def test_broadcast_arrays(self):
+        # A column of decisions and thetas against a row of alphas: each cell
+        # is the scalar payoff of its own arguments.
+        abandon = np.array([[True], [False], [False]])
+        theta = np.array([[0.1], [0.5], [2.0]])
+        alpha = np.array([0.0, 0.25, 1.0])
+        values = policymaker_payoff(PARAMS, 0.8, abandon, theta, alpha)
+        assert values.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert values[i, j] == policymaker_payoff(
+                    PARAMS, 0.8, bool(abandon[i, 0]), float(theta[i, 0]), float(alpha[j])
+                )
+        assert np.all(values[0] == -cost(PARAMS, 0.8))
+        assert type(policymaker_payoff(PARAMS, 0.8, False, 1.0, 0.0)) is float
+        with pytest.raises(DomainError, match="alpha"):
+            policymaker_payoff(PARAMS, 0.8, abandon, theta, np.array([0.0, np.nan]))

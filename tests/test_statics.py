@@ -7,7 +7,6 @@ from regimelab import (
     BoundaryError,
     DomainError,
     ModelParams,
-    NoiseRegime,
     PolicyRegion,
     Verdict,
     aggregate_attack_no_intervention,
@@ -17,7 +16,6 @@ from regimelab import (
     ex_post_welfare,
     lower_threshold_sensitivity,
     max_policy,
-    sigma_regime,
     solve_signaling,
     sweep,
     welfare_derivative_in_rprime,
@@ -43,10 +41,13 @@ class TestCriticalSigma:
         assert critical_sigma(ModelParams(1.0, 0.999)) < 6e-4
 
     def test_regime_classification(self):
-        assert sigma_regime(WIDE).regime is NoiseRegime.NOISY
-        assert sigma_regime(HALF).regime is NoiseRegime.PRECISE
-        assert sigma_regime(CRIT).regime is NoiseRegime.PRECISE
-        assert sigma_regime(CRIT).sigma_star == pytest.approx(2.0, abs=TIGHT)
+        # Noisy means sigma strictly above sigma_star: the critical level
+        # itself counts as precise.
+        assert WIDE.sigma > critical_sigma(WIDE)
+        assert not HALF.sigma > critical_sigma(HALF)
+        assert critical_sigma(CRIT) == pytest.approx(2.0, abs=TIGHT)
+        assert CRIT.sigma == critical_sigma(CRIT)
+        assert not CRIT.sigma > critical_sigma(CRIT)
 
 
 class TestThresholdSensitivity:
