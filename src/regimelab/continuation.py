@@ -20,13 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, clamp_unit, quiet_overflow
 
 
 @dataclass(frozen=True)
 class ContinuationEquilibrium:
-    """Threshold pair of the fixed-policy game at policy level r."""
+    """Threshold pair of the fixed-policy game at policy level r.
+
+    The fields are floats for a scalar r, and arrays with one element per
+    policy when the closed form is given an array of policies.
+    """
 
     r: float
     x_cutoff: float
@@ -55,12 +61,19 @@ def _require_unit_policy(r: float) -> None:
         raise DomainError("r must lie in [0,1]")
 
 
+@quiet_overflow
 def closed_form_thresholds(params: ModelParams, r: float) -> ContinuationEquilibrium:
-    """Equilibrium thresholds of the fixed-policy game, in closed form."""
-    _require_unit_policy(r)
+    """Equilibrium thresholds of the fixed-policy game, in closed form.
+
+    r may be an array of policies, solved elementwise into array fields; a
+    scalar r gives float fields. Every policy must lie in [0,1], and every
+    threshold must be finite.
+    """
+    if not np.all((0.0 <= r) & (r <= 1.0)):
+        raise DomainError("r must lie in [0,1]")
     theta_cutoff = 1.0 - r
     x_cutoff = (1.0 + 2.0 * params.sigma) * (1.0 - r) - params.sigma
-    if not math.isfinite(x_cutoff):
+    if not np.all(np.isfinite(x_cutoff)):
         raise DomainError(f"continuation thresholds are not finite at sigma = {params.sigma:g}")
     return ContinuationEquilibrium(r=r, x_cutoff=x_cutoff, theta_cutoff=theta_cutoff)
 
@@ -142,9 +155,13 @@ def solve_iterated_dominance(
     if not math.isfinite(2.0 * params.sigma):
         raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
     shrink = math.log(2.0 * params.sigma + 3.0) - math.log(tol)
-    rounds = max(1, math.ceil(shrink / math.log1p(2.0 * params.sigma))) + 1
-    if rounds > _MAX_ROUNDS:
-        raise DomainError(f"sigma = {params.sigma:g} needs {rounds:,} rounds, over {_MAX_ROUNDS:,}")
+    # Kept a float until it is bounded: it is infinite below sigma of about
+    # 6e-308, and minus infinity there too when tol exceeds the start width.
+    budget = shrink / math.log1p(2.0 * params.sigma)
+    if budget > _MAX_ROUNDS - 1:
+        need = f"{math.ceil(budget) + 1:,}" if budget < 1e15 else "more than 1e+15"
+        raise DomainError(f"sigma = {params.sigma:g} needs {need} rounds, over {_MAX_ROUNDS:,}")
+    rounds = math.ceil(max(1.0, budget)) + 1
     upper = 1.0 + params.sigma + 1.0
     lower = -params.sigma - 1.0
     upper_seq = [upper]

@@ -4,16 +4,19 @@ Every closed form in the package has an independent route to the same
 number: the continuation thresholds have the dominance iteration, the
 signalling indifference has the attack-cutoff ramp, the analytic welfare
 derivative has a central finite difference. Each check below runs one such
-pair over a parameter grid and reports the worst absolute discrepancy; at
-each parameter point it evaluates its whole policy or family grid (and the
-theta probes on it) as arrays in one pass.
+pair over a parameter grid and reports the worst absolute discrepancy.
+Each parameter point is solved once: the continuation thresholds over the
+policy grid in one array call, and the default signalling family in one
+call. Every check then reads those shared arrays (and the theta probes on
+them); only the finite-difference, branch-consistency and sensitivity checks
+solve their own shifted or filtered families.
 Failures are data, not exceptions: callers read the report and pick an
 exit code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,15 +51,6 @@ class CheckResult:
     max_error: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "points": self.points,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -78,7 +72,7 @@ class VerifyReport:
         return {
             "n_checks": self.n_checks,
             "n_failed": self.n_failed,
-            "checks": [res.to_dict() for res in self.results],
+            "checks": [asdict(res) for res in self.results],
         }
 
 
@@ -95,10 +89,8 @@ def _inner_family_grid(params: ModelParams, h: float) -> np.ndarray:
     return grid[(params.r_lower + 2 * h < grid) & (grid < max_policy(params) - 2 * h)]
 
 
-def _family(params: ModelParams, r_primes=None) -> SignalingEquilibrium:
-    """Equilibria of r_primes (default: the family grid), fields as (members, 1) columns."""
-    if r_primes is None:
-        r_primes = _family_grid(params)
+def _family(params: ModelParams, r_primes: np.ndarray) -> SignalingEquilibrium:
+    """Equilibria of r_primes, fields as (members, 1) columns."""
     return solve_signaling(params, r_primes[:, None])
 
 
@@ -107,67 +99,60 @@ def _worst(errors: np.ndarray) -> float:
     return max(0.0, float(np.max(errors, initial=0.0)))
 
 
-def _policy_thresholds(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The policy grid with its closed-form (x_cutoff, theta_cutoff), as arrays."""
-    grid = np.linspace(0.0, 1.0, 21)
-    eqs = [closed_form_thresholds(params, float(r)) for r in grid]
-    x_cutoff = np.array([eq.x_cutoff for eq in eqs])
-    return grid, x_cutoff, np.array([eq.theta_cutoff for eq in eqs])
+# Every check is a function of one parameter point and its solved
+# equilibria: cont, the continuation thresholds over _POLICIES, and eq, the
+# default signalling family.
+_POLICIES = np.linspace(0.0, 1.0, 21)
 
 
-def _check_continuation_closed_form(params: ModelParams) -> tuple[int, float]:
-    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
-    marginal = theta_cutoff + params.sigma * (1.0 - 2.0 * r)
-    errors = np.hstack([np.abs(theta_cutoff - (1.0 - r)), np.abs(x_cutoff - marginal)])
-    return r.size, _worst(errors)
+def _check_continuation_closed_form(params: ModelParams, cont, eq) -> tuple[int, float]:
+    marginal = cont.theta_cutoff + params.sigma * (1.0 - 2.0 * cont.r)
+    errors = np.hstack(
+        [np.abs(cont.theta_cutoff - (1.0 - cont.r)), np.abs(cont.x_cutoff - marginal)]
+    )
+    return cont.r.size, _worst(errors)
 
 
-def _check_continuation_fixed_point(params: ModelParams) -> tuple[int, float]:
-    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
-    mass = attack_mass(params, x_cutoff, theta_cutoff)
-    return r.size, _worst(np.abs(mass - theta_cutoff))
+def _check_continuation_fixed_point(params: ModelParams, cont, eq) -> tuple[int, float]:
+    mass = attack_mass(params, cont.x_cutoff, cont.theta_cutoff)
+    return cont.r.size, _worst(np.abs(mass - cont.theta_cutoff))
 
 
-def _check_continuation_indifference(params: ModelParams) -> tuple[int, float]:
-    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
-    prob = success_prob_given_signal(params, theta_cutoff, x_cutoff)
-    return r.size, _worst(np.abs(prob - r))
+def _check_continuation_indifference(params: ModelParams, cont, eq) -> tuple[int, float]:
+    prob = success_prob_given_signal(params, cont.theta_cutoff, cont.x_cutoff)
+    return cont.r.size, _worst(np.abs(prob - cont.r))
 
 
-def _check_continuation_dominance(params: ModelParams) -> tuple[int, float]:
-    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
-    iterated = [solve_iterated_dominance(params, float(p))[0] for p in r]
+def _check_continuation_dominance(params: ModelParams, cont, eq) -> tuple[int, float]:
+    iterated = [solve_iterated_dominance(params, float(p))[0] for p in cont.r]
     errors = np.hstack(
         [
-            np.abs(np.array([eq.x_cutoff for eq in iterated]) - x_cutoff),
-            np.abs(np.array([eq.theta_cutoff for eq in iterated]) - theta_cutoff),
+            np.abs(np.array([it.x_cutoff for it in iterated]) - cont.x_cutoff),
+            np.abs(np.array([it.theta_cutoff for it in iterated]) - cont.theta_cutoff),
         ]
     )
-    return r.size, _worst(errors)
+    return cont.r.size, _worst(errors)
 
 
-def _check_continuation_monotonicity(params: ModelParams) -> tuple[int, float]:
+def _check_continuation_monotonicity(params: ModelParams, cont, eq) -> tuple[int, float]:
     # Thresholds must fall strictly as the policy rises.
-    r, x_cutoff, theta_cutoff = _policy_thresholds(params)
-    return r.size - 1, float(np.max(np.hstack([np.diff(x_cutoff), np.diff(theta_cutoff)])))
+    diffs = np.hstack([np.diff(cont.x_cutoff), np.diff(cont.theta_cutoff)])
+    return cont.r.size - 1, float(np.max(diffs))
 
 
-def _check_signaling_cost_threshold(params: ModelParams) -> tuple[int, float]:
-    eq = _family(params)
+def _check_signaling_cost_threshold(params: ModelParams, cont, eq) -> tuple[int, float]:
     return eq.r_prime.size, _worst(np.abs(eq.theta_lower - cost(params, eq.r_prime)))
 
 
-def _check_signaling_indifference(params: ModelParams) -> tuple[int, float]:
+def _check_signaling_indifference(params: ModelParams, cont, eq) -> tuple[int, float]:
     # Routed through the signal-cutoff ramp rather than the piecewise form:
     # the piecewise form hits theta_lower at its own theta_upper by
     # construction and would mask an error in theta_upper itself.
-    eq = _family(params)
     mass = attack_mass(params, eq.x_prime, eq.theta_upper)
     return eq.r_prime.size, _worst(np.abs(mass - eq.theta_lower))
 
 
-def _check_signaling_attack_consistency(params: ModelParams) -> tuple[int, float]:
-    eq = _family(params)
+def _check_signaling_attack_consistency(params: ModelParams, cont, eq) -> tuple[int, float]:
     lo = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
     thetas = np.linspace(lo[:, 0] - 1.0, eq.theta_no_attack[:, 0] + 1.0, 41, axis=-1)
     piecewise = aggregate_attack_no_intervention(params, eq, thetas)
@@ -175,16 +160,14 @@ def _check_signaling_attack_consistency(params: ModelParams) -> tuple[int, float
     return thetas.size, _worst(np.abs(piecewise - ramp))
 
 
-def _check_signaling_alt_form(params: ModelParams) -> tuple[int, float]:
-    eq = _family(params)
+def _check_signaling_alt_form(params: ModelParams, cont, eq) -> tuple[int, float]:
     alt = 2.0 * params.sigma + (
         1.0 - 2.0 * params.sigma * params.r_lower / (1.0 - params.r_lower)
     ) * eq.theta_lower
     return eq.r_prime.size, _worst(np.abs(eq.theta_no_attack - alt))
 
 
-def _check_signaling_ordering(params: ModelParams) -> tuple[int, float]:
-    eq = _family(params)
+def _check_signaling_ordering(params: ModelParams, cont, eq) -> tuple[int, float]:
     gaps = np.hstack(
         [
             eq.theta_lower - eq.theta_upper,
@@ -206,8 +189,7 @@ def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, f
     }
 
 
-def _check_welfare_continuity(params: ModelParams) -> tuple[int, float]:
-    eq = _family(params)
+def _check_welfare_continuity(params: ModelParams, cont, eq) -> tuple[int, float]:
     at_lower = _welfare_branch_values(params, eq, eq.theta_lower)
     at_upper = _welfare_branch_values(params, eq, eq.theta_upper)
     at_top = _welfare_branch_values(params, eq, eq.theta_no_attack)
@@ -221,14 +203,13 @@ def _check_welfare_continuity(params: ModelParams) -> tuple[int, float]:
     return gaps.size, _worst(gaps)
 
 
-def _check_welfare_branch_consistency(params: ModelParams) -> tuple[int, float]:
-    eq = _family(params)
+def _check_welfare_branch_consistency(params: ModelParams, cont, eq) -> tuple[int, float]:
     # Members whose defend band is empty have nothing to compare.
-    eq = _family(params, eq.r_prime[eq.theta_no_attack > eq.theta_upper])
-    band = np.linspace(eq.theta_upper[:, 0], eq.theta_no_attack[:, 0], 21, axis=-1)
+    banded = _family(params, eq.r_prime[eq.theta_no_attack > eq.theta_upper])
+    band = np.linspace(banded.theta_upper[:, 0], banded.theta_no_attack[:, 0], 21, axis=-1)
     thetas = band[:, :-1]
-    direct = ex_post_welfare(params, eq, thetas)
-    via_attack = thetas - aggregate_attack_no_intervention(params, eq, thetas)
+    direct = ex_post_welfare(params, banded, thetas)
+    via_attack = thetas - aggregate_attack_no_intervention(params, banded, thetas)
     return thetas.size, _worst(np.abs(direct - via_attack))
 
 
@@ -254,9 +235,8 @@ def _probe_derivatives(
     return points, deriv, counted
 
 
-def _check_derivative_signs(params: ModelParams) -> tuple[int, float]:
+def _check_derivative_signs(params: ModelParams, cont, eq) -> tuple[int, float]:
     noisy = params.sigma > critical_sigma(params)
-    eq = _family(params)
     points, deriv, counted = _probe_derivatives(params, eq)
     region = classify_region(eq, points)
     # Intervening must hurt; defending must help when noisy and may not help
@@ -269,18 +249,18 @@ def _check_derivative_signs(params: ModelParams) -> tuple[int, float]:
     return int(counted.sum()), _worst(violation[counted])
 
 
-def _check_derivative_finite_difference(params: ModelParams) -> tuple[int, float]:
+def _check_derivative_finite_difference(params: ModelParams, cont, eq) -> tuple[int, float]:
     h = 1e-5
     inner = _inner_family_grid(params, h)
-    eq, eq_lo, eq_hi = (_family(params, r) for r in (inner, inner - h, inner + h))
-    points, analytic, counted = _probe_derivatives(params, eq)
+    eq_mid, eq_lo, eq_hi = (_family(params, r) for r in (inner, inner - h, inner + h))
+    points, analytic, counted = _probe_derivatives(params, eq_mid)
     fd = (
         ex_post_welfare(params, eq_hi, points) - ex_post_welfare(params, eq_lo, points)
     ) / (2.0 * h)
     return int(counted.sum()), _worst(np.abs(analytic - fd)[counted])
 
 
-def _check_threshold_sensitivity(params: ModelParams) -> tuple[int, float]:
+def _check_threshold_sensitivity(params: ModelParams, cont, eq) -> tuple[int, float]:
     h = 1e-6
     inner = _inner_family_grid(params, h)
     analytic = lower_threshold_sensitivity(params, inner)
@@ -313,26 +293,27 @@ _CHECKS = (
 
 
 def run_verify(params_list: list[ModelParams]) -> VerifyReport:
-    """Run every cross-check over each parameter point and collect a report."""
-    results: list[CheckResult] = []
-    for name, fn, tolerance in _CHECKS:
-        points = 0
-        worst = -np.inf
-        for params in params_list:
-            n, err = fn(params)
-            points += n
-            worst = max(worst, err)
-        if points == 0:
-            continue
-        results.append(
-            CheckResult(
-                name=name,
-                passed=bool(worst <= tolerance),
-                points=points,
-                max_error=float(worst),
-                tolerance=tolerance,
-            )
+    """Solve each parameter point once, run every cross-check on it, and collect a report."""
+    points = [0] * len(_CHECKS)
+    worst = [-np.inf] * len(_CHECKS)
+    for params in params_list:
+        cont = closed_form_thresholds(params, _POLICIES)
+        eq = _family(params, _family_grid(params))
+        for i, (_, fn, _) in enumerate(_CHECKS):
+            n, err = fn(params, cont, eq)
+            points[i] += n
+            worst[i] = max(worst[i], err)
+    results = (
+        CheckResult(
+            name=name,
+            passed=bool(err <= tolerance),
+            points=n,
+            max_error=float(err),
+            tolerance=tolerance,
         )
+        for (name, _, tolerance), n, err in zip(_CHECKS, points, worst)
+        if n
+    )
     return VerifyReport(results=tuple(results))
 
 

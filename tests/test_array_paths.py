@@ -8,6 +8,7 @@ a whole family of equilibria broadcast against the theta grid.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from regimelab import (
     aggregate_attack_no_intervention,
     attack_mass,
     classify_region,
+    closed_form_thresholds,
     ex_post_welfare,
     max_policy,
     run_verify,
@@ -209,3 +211,36 @@ def test_verify_skips_each_kink_point_on_its_own():
     points = {res.name: res.points for res in run_verify([ModelParams(0.75, 0.15)]).results}
     assert points["statics.derivative-signs"] == 99
     assert points["statics.derivative-finite-difference"] == 96
+
+
+POLICIES = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0, 1e6, 1e300])
+def test_closed_form_on_a_policy_array_matches_the_scalar_calls(sigma):
+    params = ModelParams(sigma=sigma, r_lower=0.2)
+    cont = closed_form_thresholds(params, POLICIES)
+    scalar = [closed_form_thresholds(params, float(r)) for r in POLICIES]
+    for field in ("r", "x_cutoff", "theta_cutoff"):
+        assert bits(getattr(cont, field)) == bits([getattr(eq, field) for eq in scalar])
+
+
+def test_closed_form_on_a_scalar_policy_gives_floats():
+    eq = closed_form_thresholds(ModelParams(sigma=0.5, r_lower=0.2), 0.25)
+    assert type(eq.x_cutoff) is float and type(eq.theta_cutoff) is float
+    assert (eq.x_cutoff, eq.theta_cutoff) == (1.0, 0.75)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+def test_closed_form_rejects_any_policy_outside_the_unit_interval(bad):
+    params = ModelParams(sigma=0.5, r_lower=0.2)
+    with pytest.raises(DomainError, match=r"r must lie in \[0,1\]"):
+        closed_form_thresholds(params, np.array([0.0, 0.5, bad, 1.0]))
+
+
+def test_closed_form_on_an_array_refuses_overflow_without_warnings():
+    params = ModelParams(sigma=1e308, r_lower=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="continuation thresholds are not finite"):
+            closed_form_thresholds(params, POLICIES)

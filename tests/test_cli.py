@@ -20,6 +20,7 @@ from regimelab import (
     closed_form_thresholds,
     run,
     run_verify,
+    solve_iterated_dominance,
     solve_signaling,
 )
 from regimelab.cli import _COLUMNS, _emit_rows, _parse_theta_spec
@@ -72,6 +73,27 @@ class TestContinuationCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "sigma = 1e-06 needs 10,910,952 rounds" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["continuation", "--sigma", "5e-324", "--r", "0.5", "--solver", "iterated"],
+            ["verify", "--sigma", "5e-324", "--rbar", "0.2"],
+            ["continuation", "--sigma", "1e-300", "--r", "0.5", "--solver", "iterated"],
+        ],
+    )
+    def test_iterated_budget_at_tiny_sigma_exits_2_on_one_bounded_line(self, argv, capsys):
+        # The budget overflows to inf below sigma of about 6e-308, and had
+        # hundreds of digits above it.
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sigma = ") and captured.err.count("\n") == 1
+        assert "needs more than 1e+15 rounds, over 1,000,000" in captured.err
+
+    def test_iterated_tolerance_wider_than_the_start_takes_one_round(self):
+        eq, trace = solve_iterated_dominance(ModelParams(1e-320, 0.2), 0.5, tol=1e300)
+        assert len(trace.upper_seq) == 2 and eq.theta_cutoff == 0.5
 
     def test_csv_schema(self, capsys):
         code = run(["continuation", "--sigma", "0.5", "--r", "0.25"])
@@ -349,6 +371,21 @@ class TestVerifyHook:
         report = run_verify(grid)
         failed = report.failed_names
         assert "signaling.indifference" in failed
+
+    def test_each_point_is_solved_once(self, monkeypatch):
+        import regimelab.verify as verify_module
+
+        calls = []
+
+        def counted(params, r):
+            calls.append(np.size(r))
+            return closed_form_thresholds(params, r)
+
+        monkeypatch.setattr(verify_module, "closed_form_thresholds", counted)
+        grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5), ModelParams(1.0, 0.35)]
+        report = run_verify(grid)
+        assert report.n_failed == 0
+        assert calls == [21] * len(grid)
 
     def test_unperturbed_passes(self):
         grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5)]
