@@ -13,7 +13,8 @@ Outputs are CSV (default) or JSON, to stdout or --out. Numbers carry 9
 significant digits: CSV writes them in .9g form, JSON as the shortest float
 repr of that rounding, so 1e9 is 1e+09 in CSV and 1000000000.0 in JSON.
 CSV uses a header row; both are UTF-8 with LF line endings and JSON is laid
-out as json.dumps(indent=2) lays it out.
+out as json.dumps(indent=2) lays it out. A verify max_error that is not
+finite is null in JSON and an empty CSV cell.
 Theta grids are written lo:hi:step, whose points never pass hi (hi itself
 is included when the span is a whole number of steps), or as a single
 number. Every number must be finite. A flat key=value file passed via
@@ -27,9 +28,7 @@ import argparse
 import io
 import json
 import math
-import operator
 import sys
-from collections.abc import Iterator
 from enum import Enum
 from itertools import repeat, starmap
 
@@ -215,53 +214,55 @@ def _json_cells(cells) -> list[str]:
     return list(map(json.dumps, cells))
 
 
-def _json_objects(columns: tuple[str, ...], rows: list[tuple], indent: str) -> Iterator[str]:
-    """One JSON object per row, laid out as json.dumps(indent=2) nests it under indent.
+def _csv_field(cell) -> str:
+    """The CSV format field of a cell: 9 significant digits, an enum's value, else str."""
+    return "{:.9g}" if isinstance(cell, float) else "{.value}" if isinstance(cell, Enum) else "{}"
 
-    Every row fills one template; a column that holds a single object is
-    encoded once and baked into it.
+
+def _template_fields(columns: tuple[str, ...], constants: dict, encode, slots) -> list[str]:
+    """Each column's text in a row template: its constant encoded once, else the next slot."""
+    baked = {col: encode(v).replace("{", "{{").replace("}", "}}") for col, v in constants.items()}
+    slots = iter(slots)
+    return [baked[col] if col in baked else next(slots) for col in columns]
+
+
+def _json_text(columns: tuple[str, ...], rows: list[tuple], constants: dict, single: bool) -> str:
+    """A JSON array of one object per row, or the one row's object when single.
+
+    The layout is json.dumps(indent=2)'s, from one template that the rows fill.
     """
-    fields, varying = [], []
-    for col, cells in zip(columns, zip(*rows)):
-        field = f"{indent}  {json.dumps(col)}: "
-        if all(map(operator.is_, cells, repeat(cells[0]))):
-            field += _json_cells(cells[:1])[0]
-            fields.append(field.replace("{", "{{").replace("}", "}}"))
-        else:
-            fields.append(field + "{}")
-            varying.append(_json_cells(cells))
-    template = f"{indent}{{{{\n" + ",\n".join(fields) + f"\n{indent}}}}}"
-    if not varying:
-        return repeat(template.format(), len(rows))
-    return starmap(template.format, zip(*varying))
-
-
-def _json_text(columns: tuple[str, ...], rows: list[tuple], single: bool = False) -> str:
-    """A JSON array of one object per row, or the one row's object when single."""
-    if single:
-        return next(_json_objects(columns, rows, "")) + "\n"
     if not rows:
         return "[]\n"
-    return "[\n" + ",\n".join(_json_objects(columns, rows, "  ")) + "\n]\n"
+    indent = "" if single else "  "
+    fields = _template_fields(columns, constants, lambda v: _json_cells([v])[0], repeat("{}"))
+    template = f"{indent}{{{{\n" + ",\n".join(
+        f"{indent}  {json.dumps(col)}: {field}" for col, field in zip(columns, fields)
+    ) + f"\n{indent}}}}}"
+    objects = starmap(template.format, zip(*map(_json_cells, zip(*rows))))
+    if single:
+        return next(objects) + "\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None) -> None:
+def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None, **constants) -> None:
+    """Write a table to out (stdout if None) from one row template per table.
+
+    constants are the cells every row shares, by column name, encoded once by
+    fmt's cell rule and baked into the template. Each row holds the other
+    cells in _COLUMNS order, with the cell types of the first row.
+    """
     columns = _COLUMNS[command]
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(",".join(columns) + "\n")
         if rows:
-            # Every row of a table has the cell types of the first one.
-            template = ",".join(
-                "{:.9g}" if isinstance(v, float)
-                else "{.value}" if isinstance(v, Enum)
-                else "{}"
-                for v in rows[0]
+            fields = _template_fields(
+                columns, constants, lambda v: _csv_field(v).format(v), map(_csv_field, rows[0])
             )
-            buf.writelines(starmap((template + "\n").format, rows))
+            buf.writelines(starmap((",".join(fields) + "\n").format, rows))
         text = buf.getvalue()
     else:
-        text = _json_text(columns, rows, single=command == "signaling" and len(rows) == 1)
+        text = _json_text(columns, rows, constants, command == "signaling" and len(rows) == 1)
     _write_text(text, out)
 
 
@@ -311,7 +312,7 @@ def _cmd_continuation(opts: _Options) -> int:
     row = (params.sigma, r, eq.x_cutoff, eq.theta_cutoff)
     if fmt == "json":
         columns = (*_COLUMNS["continuation"], "solver")
-        _write_text(_json_text(columns, [(*row, solver)], single=True), out)
+        _write_text(_json_text(columns, [row], {"solver": solver}, True), out)
     else:
         _emit_rows("continuation", [row], "csv", out)
     return 0
@@ -341,11 +342,11 @@ def _cmd_welfare_sweep(opts: _Options) -> int:
     thetas = _parse_theta_spec(opts.require("theta"))
     rows = []
     for r_prime, part, regions, attacks, welfares in sweep(params, r_primes, thetas):
-        rows += zip(
-            repeat(params.sigma), repeat(params.r_lower), repeat(r_prime),
-            part, regions, attacks, welfares,
-        )
-    _emit_rows("welfare-sweep", rows, _format_from(opts), opts.get("out"))
+        rows += zip(repeat(r_prime), part, regions, attacks, welfares)
+    _emit_rows(
+        "welfare-sweep", rows, _format_from(opts), opts.get("out"),
+        sigma=params.sigma, rbar=params.r_lower,
+    )
     return 0
 
 
@@ -358,19 +359,18 @@ def _cmd_compare(opts: _Options) -> int:
     comparison = compare_welfare(params, r_low, r_high, thetas, tol)
     rows = list(
         zip(
-            repeat(params.sigma),
-            repeat(params.r_lower),
-            repeat(r_low),
-            comparison.theta_grid,
-            comparison.region_low,
-            comparison.attack_low,
-            comparison.u_low,
-            repeat(r_high),
-            comparison.u_high,
-            comparison.verdicts,
+            thetas,
+            comparison.region_low.tolist(),
+            comparison.attack_low.tolist(),
+            comparison.u_low.tolist(),
+            comparison.u_high.tolist(),
+            comparison.verdicts.tolist(),
         )
     )
-    _emit_rows("compare", rows, _format_from(opts), opts.get("out"))
+    _emit_rows(
+        "compare", rows, _format_from(opts), opts.get("out"),
+        sigma=params.sigma, rbar=params.r_lower, rprime=r_low, rprime_hi=r_high,
+    )
     return 0
 
 
@@ -407,22 +407,18 @@ def _cmd_simulate(opts: _Options) -> int:
         raise DomainError("pass either --r (continuation) or --rprime (signaling)")
     rows = list(
         zip(
-            repeat(params.sigma),
-            repeat(params.r_lower),
-            repeat(mode),
-            repeat(policy),
-            repeat(cutoff),
             thetas,
-            repeat(config.n_agents),
-            repeat(config.n_reps),
-            repeat(config.master_seed),
             outcome.alpha_mean.tolist(),
             outcome.alpha_halfwidth.tolist(),
             outcome.fall_frequency.tolist(),
             outcome.welfare_mean.tolist(),
         )
     )
-    _emit_rows("simulate", rows, _format_from(opts), opts.get("out"))
+    _emit_rows(
+        "simulate", rows, _format_from(opts), opts.get("out"),
+        sigma=params.sigma, rbar=params.r_lower, mode=mode, r=policy, x_cutoff=cutoff,
+        n_agents=config.n_agents, n_reps=config.n_reps, seed=config.master_seed,
+    )
     return 0
 
 
@@ -439,7 +435,8 @@ def _cmd_verify(opts: _Options) -> int:
     out = opts.get("out")
     if fmt == "csv":
         rows = [
-            (res.name, str(res.passed).lower(), res.points, res.max_error, res.tolerance)
+            (res.name, str(res.passed).lower(), res.points,
+             "" if res.max_error is None else f"{res.max_error:.9g}", res.tolerance)
             for res in report.results
         ]
         _emit_rows("verify", rows, "csv", out)

@@ -48,21 +48,19 @@ _VERDICTS = np.array(list(Verdict), dtype=object)
 
 @dataclass(frozen=True)
 class WelfareComparison:
-    """Tabulated welfare under two intervention levels over a theta grid.
+    """Tabulated welfare under two intervention levels, as arrays over a theta grid.
 
-    attack_low is the aggregate attack after no intervention in the r_low
-    equilibrium.
+    The float fields are float arrays; region_low holds PolicyRegion members
+    and verdicts Verdict members, in object arrays. attack_low is the
+    aggregate attack after no intervention in the r_low equilibrium.
     """
 
-    r_low: float
-    r_high: float
-    tol: float
-    theta_grid: tuple[float, ...]
-    u_low: tuple[float, ...]
-    u_high: tuple[float, ...]
-    region_low: tuple[PolicyRegion, ...]
-    verdicts: tuple[Verdict, ...]
-    attack_low: tuple[float, ...]
+    theta_grid: np.ndarray
+    u_low: np.ndarray
+    u_high: np.ndarray
+    region_low: np.ndarray
+    verdicts: np.ndarray
+    attack_low: np.ndarray
 
 
 def critical_sigma(params: ModelParams) -> float:
@@ -129,10 +127,9 @@ def compare_welfare(
             "intervention levels must satisfy "
             f"r_lower < r_low <= r_high <= r_tilde = {r_tilde:.9g}"
         )
-    thetas = [float(t) for t in theta_grid]
-    if not thetas:
+    grid = np.array(theta_grid, dtype=float)
+    if grid.size == 0:
         raise DomainError("theta_grid must be non-empty")
-    grid = np.array(thetas)
     if np.any(grid[1:] < grid[:-1]):
         raise DomainError("theta_grid must be sorted ascending")
     if not tol >= 0:
@@ -144,15 +141,12 @@ def compare_welfare(
     u_high = ex_post_welfare(params, eq_high, grid)
     verdicts = np.select([u_high - u_low > tol, u_low - u_high > tol], [0, 1], 2)
     return WelfareComparison(
-        r_low=r_low,
-        r_high=r_high,
-        tol=tol,
-        theta_grid=tuple(thetas),
-        u_low=tuple(u_low.tolist()),
-        u_high=tuple(u_high.tolist()),
-        region_low=tuple(classify_region(eq_low, grid)),
-        verdicts=tuple(_VERDICTS[verdicts]),
-        attack_low=tuple(aggregate_attack_no_intervention(params, eq_low, grid).tolist()),
+        theta_grid=grid,
+        u_low=u_low,
+        u_high=u_high,
+        region_low=classify_region(eq_low, grid),
+        verdicts=_VERDICTS[verdicts],
+        attack_low=aggregate_attack_no_intervention(params, eq_low, grid),
     )
 
 

@@ -26,7 +26,7 @@ from .continuation import (
     solve_iterated_dominance,
     success_prob_given_signal,
 )
-from .model import ModelParams, cost
+from .model import ModelParams, cost, quiet_overflow
 from .signaling import (
     PolicyRegion,
     SignalingEquilibrium,
@@ -48,7 +48,7 @@ class CheckResult:
     name: str
     passed: bool
     points: int
-    max_error: float
+    max_error: float | None
     tolerance: float
 
 
@@ -95,8 +95,8 @@ def _family(params: ModelParams, r_primes: np.ndarray) -> SignalingEquilibrium:
 
 
 def _worst(errors: np.ndarray) -> float:
-    """Largest error, floored at zero (an empty set of points has none)."""
-    return max(0.0, float(np.max(errors, initial=0.0)))
+    """Largest error, floored at zero (an empty set of points has none); NaN if any is NaN."""
+    return float(np.max(errors, initial=0.0))
 
 
 # Every check is a function of one parameter point and its solved
@@ -292,8 +292,13 @@ _CHECKS = (
 )
 
 
+@quiet_overflow
 def run_verify(params_list: list[ModelParams]) -> VerifyReport:
-    """Solve each parameter point once, run every cross-check on it, and collect a report."""
+    """Solve each parameter point once, run every cross-check on it, and collect a report.
+
+    A NaN or infinite error, such as overflow at an extreme sigma gives, fails
+    its check with a max_error of None; it raises no numpy warning.
+    """
     points = [0] * len(_CHECKS)
     worst = [-np.inf] * len(_CHECKS)
     for params in params_list:
@@ -302,13 +307,14 @@ def run_verify(params_list: list[ModelParams]) -> VerifyReport:
         for i, (_, fn, _) in enumerate(_CHECKS):
             n, err = fn(params, cont, eq)
             points[i] += n
-            worst[i] = max(worst[i], err)
+            # np.maximum, unlike max, keeps a NaN whichever side it is on.
+            worst[i] = np.maximum(worst[i], err)
     results = (
         CheckResult(
             name=name,
             passed=bool(err <= tolerance),
             points=n,
-            max_error=float(err),
+            max_error=float(err) if np.isfinite(err) else None,
             tolerance=tolerance,
         )
         for (name, _, tolerance), n, err in zip(_CHECKS, points, worst)

@@ -1,16 +1,21 @@
 """CLI behaviour: schemas, determinism, round-trips, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regimelab import (
     DomainError,
@@ -338,6 +343,27 @@ class TestVerifyCommand:
         assert lines[0] == "name,passed,points,max_error,tolerance"
         assert all(",true," in line for line in lines[1:])
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_error_fails_its_check_without_warnings(self, fmt, capsys):
+        # At this sigma some finite-difference errors are NaN: the check must
+        # fail on them, not report a pass with a max error of 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "--sigma", "5e307", "--rbar", "0.2", "--format", fmt])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("verify: 6 of 15 checks failed: ")
+        assert "statics.derivative-finite-difference" in captured.err
+        if fmt == "json":
+            checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        else:
+            checks = {c["name"]: c for c in csv.DictReader(io.StringIO(captured.out))}
+        check = checks["statics.derivative-finite-difference"]
+        assert (check["passed"], check["max_error"]) == (
+            (False, None) if fmt == "json" else ("false", "")
+        )
+
     def test_failures_exit_1_and_are_listed(self, capsys, monkeypatch):
         import regimelab.cli as cli_module
         from regimelab import CheckResult, VerifyReport
@@ -514,23 +540,20 @@ class TestNonFiniteInput:
         assert "not finite" in captured.err
 
 
-def _compare_rows(theta_cell, constant_cell):
-    """Two compare rows: theta_cell varies down the table, constant_cell is one object."""
-    return [
-        (3.0, 0.2, 0.8, theta, PolicyRegion.INTERVENE, 0.5, constant_cell, 0.9, 1.0,
-         Verdict.EQUAL)
-        for theta in (theta_cell, 1.5)
-    ]
+def _compare_table(theta_cell, welfare):
+    """Two compare rows in which theta_cell varies, and the constants with welfare among them."""
+    rows = [(theta, PolicyRegion.INTERVENE, 0.5, 1.0, Verdict.EQUAL) for theta in (theta_cell, 1.5)]
+    return rows, dict(sigma=3.0, rbar=0.2, rprime=0.8, welfare=welfare, rprime_hi=0.9)
 
 
 class TestJsonEncoder:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["varying", "constant"])
     def test_non_finite_cell_raises_and_writes_nothing(self, bad, where, tmp_path):
-        rows = _compare_rows(bad, 0.25) if where == "varying" else _compare_rows(0.5, bad)
+        rows, constants = _compare_table(*((bad, 0.25) if where == "varying" else (0.5, bad)))
         out = tmp_path / "out.json"
         with pytest.raises(DomainError, match="^result is not finite"):
-            _emit_rows("compare", rows, "json", str(out))
+            _emit_rows("compare", rows, "json", str(out), **constants)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -538,9 +561,9 @@ class TestJsonEncoder:
         [1e9, 123456789.0, 1e16, 1e-5, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.5],
     )
     def test_float_cells_follow_the_nine_digit_rule(self, value, capsys):
-        # theta takes the template's per-row path, welfare the baked one.
-        rows = _compare_rows(value, value)
-        _emit_rows("compare", rows, "json", None)
+        # theta is a row cell, welfare a declared constant baked into the template.
+        rows, constants = _compare_table(value, value)
+        _emit_rows("compare", rows, "json", None, **constants)
         text = capsys.readouterr().out
         first = text.splitlines()[2 : 2 + len(_COLUMNS["compare"])]
         cells = dict(line.strip().rstrip(",").split(": ") for line in first)
@@ -548,17 +571,79 @@ class TestJsonEncoder:
         assert cells['"theta"'] == cells['"welfare"'] == expected
         assert text.count(f'"welfare": {expected},') == 2
 
-        _emit_rows("compare", rows, "csv", None)
+        _emit_rows("compare", rows, "csv", None, **constants)
         first_row = capsys.readouterr().out.splitlines()[1].split(",")
         assert first_row[3] == first_row[6] == f"{value:.9g}"
 
     def test_equal_cells_of_distinct_sign_stay_distinct(self, capsys):
-        # 0.0 == -0.0, so only a column of one object may be baked once.
-        rows = [row[:6] + (welfare,) + row[7:]
-                for row, welfare in zip(_compare_rows(0.5, 0.0), (0.0, -0.0))]
-        _emit_rows("compare", rows, "json", None)
+        # 0.0 == -0.0, yet each row cell is encoded on its own, so both signs
+        # are written; only a declared constant is encoded once.
+        rows, constants = _compare_table(0.5, 0.0)
+        welfare = constants.pop("welfare")
+        rows = [row[:3] + (cell,) + row[3:] for row, cell in zip(rows, (welfare, -0.0))]
+        _emit_rows("compare", rows, "json", None, **constants)
         text = capsys.readouterr().out
         assert '"welfare": 0.0,' in text and '"welfare": -0.0,' in text
+
+
+# Cell strategies of one type each: a table column holds cells of one type.
+_CELLS = (
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e9, 5e-324]),
+    st.text(),
+    st.integers(-(2**63), 2**64 - 1),
+    st.sampled_from(PolicyRegion),
+    st.sampled_from(Verdict),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A command, its full rows, and the columns to declare constant (not all)."""
+    command = draw(st.sampled_from(["welfare-sweep", "compare", "simulate"]))
+    columns = _COLUMNS[command]
+    kinds = [draw(st.sampled_from(_CELLS)) for _ in columns]
+    constant = draw(
+        st.lists(st.booleans(), min_size=len(columns), max_size=len(columns))
+        .filter(lambda flags: not all(flags))
+    )
+    first = tuple(draw(kind) for kind in kinds)
+    rows = [first] + [
+        tuple(cell if fixed else draw(kind) for cell, fixed, kind in zip(first, constant, kinds))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return command, rows, {col for col, fixed in zip(columns, constant) if fixed}
+
+
+def _emitted(command, rows, fmt, **constants) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        _emit_rows(command, rows, fmt, None, **constants)
+    return buf.getvalue()
+
+
+_SIMULATE_ROW = (
+    -0.0, 1e9, "sig{0}", 5e-324, 1.5, 0.25, 1_000_000, 20, 2**64 - 1, 0.5, 0.01, 0.0, -1.25
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=150, deadline=None)
+@given(table=_tables())
+@example(table=("simulate", [_SIMULATE_ROW, _SIMULATE_ROW[:5] + (0.75,) + _SIMULATE_ROW[6:]],
+                {"sigma", "rbar", "mode", "r", "x_cutoff", "n_agents", "n_reps", "seed"}))
+@example(table=("welfare-sweep",
+                [(-0.0, 1e9, 5e-324, t, PolicyRegion.ABANDON, 0.0, -t) for t in (0.5, 1.5)],
+                {"sigma", "rbar"}))
+@example(table=("compare",
+                [(-0.0, 1e9, 5e-324, t, PolicyRegion.INTERVENE, 0.5, t, 2**63, 1.0, Verdict.EQUAL)
+                 for t in (0.5, 1.5)],
+                {"sigma", "rbar", "rprime", "rprime_hi"}))
+def test_declared_constants_write_the_bytes_of_full_rows(fmt, table):
+    command, full_rows, constant_columns = table
+    columns = _COLUMNS[command]
+    varying = [i for i, col in enumerate(columns) if col not in constant_columns]
+    rows = [tuple(row[i] for i in varying) for row in full_rows]
+    constants = {col: full_rows[0][columns.index(col)] for col in constant_columns}
+    assert _emitted(command, rows, fmt, **constants) == _emitted(command, full_rows, fmt)
 
 
 class TestOverflowingThresholds:

@@ -40,4 +40,7 @@ def test_deleted_fields_and_parameters_are_gone():
     fields = [f.name for f in dataclasses.fields(regimelab.SimOutcome)]
     assert fields == ["alpha_mean", "alpha_halfwidth", "fall_frequency", "welfare_mean"]
     assert "per_rep" not in fields
+    fields = [f.name for f in dataclasses.fields(regimelab.WelfareComparison)]
+    assert fields == ["theta_grid", "u_low", "u_high", "region_low", "verdicts", "attack_low"]
+    assert not {"r_low", "r_high", "tol"} & set(fields)
     assert list(inspect.signature(regimelab.run_verify).parameters) == ["params_list"]

@@ -1,5 +1,7 @@
 """Welfare comparative statics in the intervention level."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,15 @@ class TestCompareWelfare:
         assert comparison.verdicts[0] is Verdict.LOWER_UNDER_AGGRESSIVE
         assert comparison.u_high[0] == pytest.approx(0.255, abs=TIGHT)
         assert comparison.u_low[0] == pytest.approx(0.32, abs=TIGHT)
+
+    def test_fields_are_arrays_over_the_grid(self):
+        grid = [0.5, 2.0, 5.0]
+        comparison = compare_welfare(WIDE, 0.8, 0.9, grid)
+        for field in dataclasses.fields(comparison):
+            value = getattr(comparison, field.name)
+            assert isinstance(value, np.ndarray) and value.shape == (3,), field.name
+        assert comparison.theta_grid.tolist() == grid
+        assert comparison.region_low.dtype == comparison.verdicts.dtype == object
 
     def test_identical_levels_all_equal(self):
         grid = list(np.linspace(0.0, 7.0, 71))
