@@ -11,7 +11,12 @@ suite checks.
 Replications are seeded independently: a counter-based mix (splitmix64) of
 the master seed, a stream tag, and the replication index yields each
 sub-seed, so results are bit-identical across runs. Each replication draws
-one noise panel, shared by every theta of a grid (common random numbers).
+one noise panel, shared by every theta of a grid (common random numbers),
+and sorts it in place. Rounding is monotone, so at every theta the agents
+who attack form a prefix of the sorted panel, and one vectorised bisection
+finds each prefix's length: a replication costs one draw, one sort and
+O(len(theta) * log n_agents) counting, and gives the counts that comparing
+every signal with the cutoff gives, bit for bit.
 
 A run fills one (theta, replication) matrix of attack fractions, theta-major,
 and reduces it row by row into one SimOutcome: float fields for a scalar
@@ -37,9 +42,15 @@ _STREAM_BEST_RESPONSE = 1
 # 99.5th percentile of the standard normal: 99% two-sided half-width.
 _Z99 = 2.5758293035489004
 
-# A replication holds 17 bytes per agent (panel, sum buffer and mask), so the
-# bound is 1.7 GB: 100 times the 1e6 agents of the largest benchmark run.
+# A replication holds 8 bytes per agent (the panel, sorted in place), so the
+# bound is 800 MB: 100 times the 1e6 agents of the largest benchmark run.
 _MAX_AGENTS = 100_000_000
+
+# A (theta, replication) cell holds 8 bytes in the attack-fraction matrix and
+# about 27 at the peak of scoring and aggregating it, so the bound is about
+# 540 MB: a 1e6-point grid at 20 replications, 50,000 times the 420 cells of
+# the largest benchmark run. A larger run is refused before it is allocated.
+_MAX_CELLS = 20_000_000
 
 
 def _splitmix64(z: int) -> int:
@@ -83,28 +94,69 @@ class SimOutcome:
     welfare_mean: float | np.ndarray
 
 
+def _fraction_matrix(n_thetas: int, config: SimConfig) -> np.ndarray:
+    """A zeroed (theta, replication) matrix; past _MAX_CELLS, refused unallocated."""
+    if n_thetas * config.n_reps > _MAX_CELLS:
+        raise DomainError(
+            f"{n_thetas:,} theta x {config.n_reps:,} replications exceeds "
+            f"{_MAX_CELLS:,} simulated cells"
+        )
+    return np.zeros((n_thetas, config.n_reps))
+
+
+def _sorted_panel(params: ModelParams, config: SimConfig, stream: int, index: int) -> np.ndarray:
+    """One replication's noise panel: n_agents draws uniform on [-sigma, sigma], sorted in place."""
+    rng = np.random.default_rng(_sub_seed(config.master_seed, stream, index))
+    eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
+    eps.sort()
+    return eps
+
+
+def _attack_counts(sorted_eps: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np.ndarray:
+    """For each theta, the number of eps in the sorted panel with fl(theta + eps) <= x_cutoff.
+
+    Rounding to nearest is monotone, so fl(theta + eps) does not decrease as
+    eps grows and the eps that satisfy the predicate form a prefix of the
+    panel. A lower-bound bisection over [0, n] finds every prefix's length
+    at once, evaluating the exact predicate at each probe, in
+    n.bit_length() = ceil(log2(n + 1)) rounds.
+    """
+    n = sorted_eps.size
+    step = 1 << (n.bit_length() - 1)  # the largest power of two <= n
+    # last indexes the last eps known to attack (-1 for none), and the count
+    # lies in [last + 1, last + step]. The first probe asks whether the first
+    # step attack: if so the count lies in [step, n], and last = n - step
+    # (< step, since n < 2 * step) leaves the same window as a miss does.
+    # Every later probe halves the window, so none reaches past n - 1.
+    last = np.where(thetas + sorted_eps[step - 1] <= x_cutoff, n - step, -1)
+    while step > 1:
+        step >>= 1
+        probe = last + step
+        last = np.where(thetas + sorted_eps[probe] <= x_cutoff, probe, last)
+    return last + 1
+
+
 def _attack_fractions(
     params: ModelParams, thetas: np.ndarray, x_cutoff: float, config: SimConfig
 ) -> np.ndarray:
     """The (theta, replication) matrix of sample attack fractions.
 
-    Each replication draws one noise panel and counts, for every theta, the
-    signals fl(theta + eps) at or below x_cutoff. An empty grid draws nothing.
+    Each replication draws one noise panel, sorts it in place, and counts
+    for every theta at once the signals fl(theta + eps) at or below
+    x_cutoff (_attack_counts). The panel lives only for its own count, so
+    one panel is held at a time. An empty grid draws nothing.
     """
-    alphas = np.empty((thetas.size, config.n_reps))
+    alphas = _fraction_matrix(thetas.size, config)
     if not thetas.size:
         return alphas
     if not math.isfinite(2.0 * params.sigma):
         raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
-    buf = np.empty(config.n_agents)
     for k in range(config.n_reps):
-        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-        eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
-        for i, t in enumerate(thetas.tolist()):
-            np.add(t, eps, out=buf)
-            alphas[i, k] = np.count_nonzero(buf <= x_cutoff)
-        del eps  # hold one panel at a time: release it before the next draw
-    return alphas / config.n_agents
+        alphas[:, k] = _attack_counts(
+            _sorted_panel(params, config, _STREAM_REPS, k), thetas, x_cutoff
+        )
+    alphas /= config.n_agents
+    return alphas
 
 
 def _outcome(
@@ -170,7 +222,7 @@ def simulate_signaling(
     """
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     on_band = (eq.theta_lower <= thetas) & (thetas <= eq.theta_upper)
-    alphas = np.zeros((thetas.size, config.n_reps))
+    alphas = _fraction_matrix(thetas.size, config)
     alphas[~on_band] = _attack_fractions(params, thetas[~on_band], eq.x_prime, config)
     r = np.where(on_band, eq.r_prime, params.r_lower)[:, None]
     return _outcome(params, r, theta, alphas)
@@ -225,10 +277,7 @@ def finite_best_response(
     settle = max(6.0 / math.sqrt(config.n_agents), 1e-8)
     x_hat = 2.0 + params.sigma
     for k in range(iters):
-        rng = np.random.default_rng(
-            _sub_seed(config.master_seed, _STREAM_BEST_RESPONSE, k)
-        )
-        eps = np.sort(rng.uniform(-params.sigma, params.sigma, config.n_agents))
+        eps = _sorted_panel(params, config, _STREAM_BEST_RESPONSE, k)
         theta_star = _empirical_fall_threshold(eps, x_hat)
         x_next = theta_star + params.sigma * (1.0 - 2.0 * r)
         step = abs(x_next - x_hat)

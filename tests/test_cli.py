@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -302,6 +303,37 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n_agents must lie in [1, 100,000,000]\n"
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            # 1e11 replications used to end in an _ArrayMemoryError traceback.
+            (["--r", "0.25", "--theta", "0", "--agents", "1", "--reps", "100000000000"],
+             "1 theta x 100,000,000,000 replications"),
+            # 20,002,000 cells, one past 10,001 theta x 2,000: a 160 MB matrix
+            # that would have been allocated, in signalling mode too.
+            (["--r", "0.25", "--theta", "0:1:0.0001", "--agents", "1", "--reps", "2000"],
+             "10,001 theta x 2,000 replications"),
+            (["--rprime", "0.8", "--theta", "0:1:0.0001", "--agents", "1", "--reps", "2000"],
+             "10,001 theta x 2,000 replications"),
+        ],
+    )
+    def test_replication_matrix_above_bound_exits_2_unallocated(self, argv, cells, capsys,
+                                                              monkeypatch):
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--sigma", "3", "--rbar", "0.2", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cells} exceeds 20,000,000 simulated cells\n"
+        assert draws == []
+        assert peak < 16 * 2**20, peak
 
     def test_deterministic_csv(self, tmp_path):
         args = ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",

@@ -97,6 +97,19 @@ GOLDENS = {
          "--theta=-1:8:0.25", "--format", "json"],
         "df3845c6de5f18cad551dc152cf1b2036f91f9030124ef19b1cc647bbf02e3d1", 10126,
     ),
+    # At sigma = 1e-10 and theta = x = 1e6 every signal theta + eps rounds to
+    # a neighbour of theta, so the attack count hinges on rounding alone.
+    "simulate-rounding-csv": (
+        ["simulate", "--sigma", "1e-10", "--rbar", "0.2", "--r", "0.5",
+         "--x-cutoff", "1000000", "--theta", "1000000", "--agents", "1000000", "--reps", "3"],
+        "69e2b18c461ab0ab4275452e3f477e498472e62732e329e5ba7bce7a06d6cbaf", 193,
+    ),
+    # A dense continuation grid: 1,001 theta on one panel per replication.
+    "simulate-dense-grid-csv": (
+        ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+         "--theta", "0:1:0.001", "--agents", "20000", "--reps", "7"],
+        "893cccb44053cd2be764c624352ae0f9f3401d85141de2034450e8a4775ff22a", 71344,
+    ),
     # JSON encoder edge cases: the single signalling object, a float whose
     # 9-digit rounding prints differently as .9g (1e+09) and as a float repr
     # (1000000000.0), and an empty table.

@@ -18,7 +18,13 @@ from regimelab import (
     solve_signaling,
 )
 from regimelab.model import cost
-from regimelab.simulate import _STREAM_REPS, _sub_seed
+from regimelab.simulate import (
+    _STREAM_BEST_RESPONSE,
+    _STREAM_REPS,
+    _attack_counts,
+    _sorted_panel,
+    _sub_seed,
+)
 
 HALF = ModelParams(sigma=0.5, r_lower=0.2)
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
@@ -36,7 +42,7 @@ class TestSimConfig:
             SimConfig(n_agents=1, n_reps=1, master_seed=-1)
         with pytest.raises(DomainError):
             SimConfig(n_agents=1, n_reps=1, master_seed=2**64)
-        # Above 1e8 agents a replication would hold more than 1.7 GB.
+        # Above 1e8 agents a replication would hold more than 800 MB.
         SimConfig(n_agents=10**8, n_reps=1, master_seed=1)
         with pytest.raises(DomainError):
             SimConfig(n_agents=10**8 + 1, n_reps=1, master_seed=1)
@@ -251,7 +257,172 @@ class TestGridMatchesPerThetaCode:
         assert rng_calls == []
 
 
+def brute_counts(sorted_eps, thetas, x_cutoff):
+    """Compare every signal with the cutoff, as the Monte Carlo once did."""
+    return np.count_nonzero(thetas[:, None] + sorted_eps[None, :] <= x_cutoff, axis=1)
+
+
+def panel(sigma, n, seed=0):
+    return _sorted_panel(ModelParams(sigma=sigma, r_lower=0.2),
+                         SimConfig(n_agents=n, n_reps=1, master_seed=seed), _STREAM_REPS, 0)
+
+
+def tie_thetas(sorted_eps, x_cutoff):
+    """x - eps_j for every agent j, and one ulp either side: each lands on or next to a tie."""
+    return np.array(_around(*(x_cutoff - sorted_eps).tolist()))
+
+
+class TestAttackCounts:
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-10, 1e-3, 0.5, 3.0, 100.0])
+    @pytest.mark.parametrize("x_cutoff", [1.0, 1.0 + 1e6, 1.0 - 1e6, 1e15])
+    def test_ties_match_comparing_every_signal(self, sigma, x_cutoff):
+        # Far from zero, x - theta rounds, so x - eps_j is no exact tie and a
+        # search for x - theta in the panel can land an agent or more off.
+        eps = panel(sigma, 64)
+        thetas = tie_thetas(eps, x_cutoff)
+        assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+                              brute_counts(eps, thetas, x_cutoff))
+
+    @pytest.mark.parametrize("sigma", [1e-10, 0.5])
+    @pytest.mark.parametrize("center", [1e6, -1e6, 1e15])
+    def test_theta_where_x_minus_theta_rounds(self, sigma, center):
+        eps = panel(sigma, 257, seed=3)
+        x_cutoff = center + 0.3
+        thetas = np.array([center + d for d in np.linspace(-2 * sigma - 1.0, 2 * sigma + 1.0, 401)]
+                          + _around(center, x_cutoff))
+        assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+                              brute_counts(eps, thetas, x_cutoff))
+
+    def test_heavy_duplicates(self):
+        # At sigma = 5e-324 the panel holds a few distinct subnormals, each
+        # many times over.
+        eps = panel(5e-324, 500, seed=1)
+        assert len(np.unique(eps)) <= 3 < len(eps)
+        thetas = np.array(_around(0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1.0))
+        for x_cutoff in (0.0, 5e-324, -5e-324, 1.0):
+            assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+                                  brute_counts(eps, thetas, x_cutoff))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+    def test_every_count_at_small_sizes(self, n):
+        # Each count 0..n occurs, at the prefix's end and one ulp either side.
+        eps = panel(0.5, n, seed=n)
+        thetas = np.concatenate([tie_thetas(eps, 1.0), [-10.0, 10.0, 1.0]])
+        got = _attack_counts(eps, thetas, 1.0)
+        assert np.array_equal(got, brute_counts(eps, thetas, 1.0))
+        assert set(got.tolist()) == set(range(n + 1))
+
+    def test_empty_theta_and_one_agent(self):
+        eps = panel(0.5, 1)
+        assert _attack_counts(eps, np.array([]), 1.0).shape == (0,)
+        thetas = np.array([-10.0, *_around(1.0 - eps[0]), 10.0])
+        got = _attack_counts(eps, thetas, 1.0)
+        assert np.array_equal(got, brute_counts(eps, thetas, 1.0))
+        assert got[0] == 1 and got[-1] == 0
+
+    def test_nan_attacks_nowhere(self):
+        eps = panel(0.5, 10)
+        assert _attack_counts(eps, np.array([math.nan, 0.0]), 1.0).tolist() == [0, 10]
+        assert _attack_counts(eps, np.array([0.0]), math.nan).tolist() == [0]
+
+
+class TestCalibratedAttackMass:
+    # alpha_mean at theta is Binomial(N, p)/N with N = n_agents * n_reps draws
+    # and p the attack ramp. Bernstein's inequality bounds each point's
+    # deviation by k binomial standard errors plus k^2 / (3N), with
+    # probability at least 1 - 2 exp(-k^2 / 2): for k = 7 that is 4.6e-11
+    # per point, and by a union bound over the 14,002 points of the two
+    # grids, a family-wise false-alarm rate below 6.5e-7. The second term
+    # matters only at the ramp's ends, where p(1 - p) is tiny.
+    #
+    # The only extra slack is delta, for rounding: of theta + eps against the
+    # cutoff, of the draw's -sigma + 2 sigma U, and of the ramp itself. Each
+    # of the three moves p by under 2^-52 (|theta| + |x| + sigma) / sigma, and
+    # delta is four times that; it stands in for p's error in the standard
+    # error too.
+    K = 7
+
+    @pytest.mark.parametrize(
+        "params, r, config",
+        [
+            (HALF, 0.25, SimConfig(n_agents=100_000, n_reps=20, master_seed=2006)),
+            (WIDE, 0.5, SimConfig(n_agents=40_000, n_reps=50, master_seed=7)),
+        ],
+    )
+    def test_dense_grid_within_binomial_error(self, params, r, config):
+        x_cutoff = closed_form_thresholds(params, r).x_cutoff
+        sigma = params.sigma
+        grid = np.linspace(x_cutoff - 1.2 * sigma, x_cutoff + 1.2 * sigma, 7001)
+        outcome = simulate_continuation(params, r, grid, x_cutoff, config)
+        draws = config.n_agents * config.n_reps
+        p = attack_mass(params, x_cutoff, grid)
+        delta = 2.0**-50 * (np.abs(grid) + abs(x_cutoff) + sigma) / sigma
+        bound = self.K * np.sqrt((p * (1.0 - p) + delta) / draws) + self.K**2 / (3 * draws) + delta
+        worst = np.max(np.abs(outcome.alpha_mean - p) / bound)
+        assert worst <= 1.0, worst
+        # The grid crosses the whole ramp, so the test is not vacuous.
+        assert np.count_nonzero((0.01 < p) & (p < 0.99)) > 4000
+
+
+# --- reference: finite_best_response as it drew its panels before it shared
+# the draw-and-sort helper of the Monte Carlo (np.sort of a fresh draw).
+
+
+def ref_fall_threshold(sorted_eps, x_hat):
+    n = len(sorted_eps)
+
+    def gap(theta):
+        return float(np.searchsorted(sorted_eps, x_hat - theta, side="right")) / n - theta
+
+    if gap(0.0) <= 0.0:
+        return 0.0
+    if gap(1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ref_finite_best_response(params, r, config, iters):
+    """The settled cutoff, or None where the steps never settle."""
+    settle = max(6.0 / math.sqrt(config.n_agents), 1e-8)
+    x_hat = 2.0 + params.sigma
+    for k in range(iters):
+        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_BEST_RESPONSE, k))
+        eps = np.sort(rng.uniform(-params.sigma, params.sigma, config.n_agents))
+        x_next = ref_fall_threshold(eps, x_hat) + params.sigma * (1.0 - 2.0 * r)
+        step = abs(x_next - x_hat)
+        x_hat = x_next
+        if step <= settle:
+            return x_hat
+    return None
+
+
 class TestFiniteBestResponse:
+    @pytest.mark.parametrize(
+        "params, r, n_agents, seed, iters",
+        [
+            (HALF, 0.25, 100_000, 11, 50),
+            (WIDE, 0.5, 100_000, 11, 50),
+            (HALF, 1.0, 100_000, 11, 200),
+            (HALF, 0.25, 10_000, 5, 50),
+            (HALF, 0.25, 100_000, 11, 1),
+        ],
+    )
+    def test_bit_identical_to_the_fresh_sort(self, params, r, n_agents, seed, iters):
+        config = SimConfig(n_agents=n_agents, n_reps=1, master_seed=seed)
+        want = ref_finite_best_response(params, r, config, iters)
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                finite_best_response(params, r, config, iters)
+        else:
+            assert finite_best_response(params, r, config, iters) == want
+
     def test_recovers_interior_cutoff(self):
         config = SimConfig(n_agents=100_000, n_reps=1, master_seed=11)
         estimate = finite_best_response(HALF, 0.25, config, iters=50)
