@@ -14,6 +14,7 @@ from .continuation import (
     attack_mass,
     best_response_cutoff,
     closed_form_thresholds,
+    iterated_cutoffs,
     regime_fall_threshold,
     solve_iterated_dominance,
     success_prob_given_signal,
@@ -80,6 +81,7 @@ __all__ = [
     "critical_sigma",
     "ex_post_welfare",
     "finite_best_response",
+    "iterated_cutoffs",
     "lower_threshold_sensitivity",
     "max_policy",
     "policymaker_payoff",

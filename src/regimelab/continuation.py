@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, clamp_unit, quiet_overflow
+from .model import ModelParams, clamp_unit, float_or_array, quiet_overflow
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,33 @@ def require_tolerance(tol: float) -> None:
 _MAX_ROUNDS = 1_000_000
 
 
+def _round_budget(sigma: float, tol: float) -> int:
+    """Rounds the elimination may take at sigma before it gives up at tol.
+
+    The 2*sigma + 3 wide start shrinks by 1 + 2*sigma a round, so the bracket
+    reaches tol in the ceiling of log(width / tol) / log1p(2*sigma) rounds;
+    one more is allowed. Refuses a bad tol, a noise width 2*sigma that
+    overflows, and a budget past _MAX_ROUNDS, all before any round is run.
+    """
+    require_tolerance(tol)
+    if not math.isfinite(2.0 * sigma):
+        raise DomainError(f"noise width 2*sigma overflows at sigma = {sigma:g}")
+    shrink = math.log(2.0 * sigma + 3.0) - math.log(tol)
+    # Kept a float until it is bounded: it is infinite below sigma of about
+    # 6e-308, and minus infinity there too when tol exceeds the start width.
+    budget = shrink / math.log1p(2.0 * sigma)
+    if budget > _MAX_ROUNDS - 1:
+        need = f"{math.ceil(budget) + 1:,}" if budget < 1e15 else "more than 1e+15"
+        raise DomainError(f"sigma = {sigma:g} needs {need} rounds, over {_MAX_ROUNDS:,}")
+    return math.ceil(max(1.0, budget)) + 1
+
+
+def _stalled(width: float, rounds: int, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"cutoff bracket still {width:.3e} wide after {rounds} iterations (tol={tol:.1e})"
+    )
+
+
 def solve_iterated_dominance(
     params: ModelParams,
     r: float,
@@ -151,17 +178,7 @@ def solve_iterated_dominance(
     rounding stalls the bracket above tol (partial trace as ``trace``).
     """
     _require_unit_policy(r)
-    require_tolerance(tol)
-    if not math.isfinite(2.0 * params.sigma):
-        raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
-    shrink = math.log(2.0 * params.sigma + 3.0) - math.log(tol)
-    # Kept a float until it is bounded: it is infinite below sigma of about
-    # 6e-308, and minus infinity there too when tol exceeds the start width.
-    budget = shrink / math.log1p(2.0 * params.sigma)
-    if budget > _MAX_ROUNDS - 1:
-        need = f"{math.ceil(budget) + 1:,}" if budget < 1e15 else "more than 1e+15"
-        raise DomainError(f"sigma = {params.sigma:g} needs {need} rounds, over {_MAX_ROUNDS:,}")
-    rounds = math.ceil(max(1.0, budget)) + 1
+    rounds = _round_budget(params.sigma, tol)
     upper = 1.0 + params.sigma + 1.0
     lower = -params.sigma - 1.0
     upper_seq = [upper]
@@ -181,10 +198,7 @@ def solve_iterated_dominance(
         contraction_modulus=1.0 / (1.0 + 2.0 * params.sigma),
     )
     if not converged:
-        err = ConvergenceError(
-            f"cutoff bracket still {upper - lower:.3e} wide after "
-            f"{rounds} iterations (tol={tol:.1e})"
-        )
+        err = _stalled(upper - lower, rounds, tol)
         err.trace = trace
         raise err
     x_cutoff = 0.5 * (upper + lower)
@@ -194,3 +208,80 @@ def solve_iterated_dominance(
         theta_cutoff=regime_fall_threshold(params, x_cutoff),
     )
     return eq, trace
+
+
+def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibrium, np.ndarray]:
+    """solve_iterated_dominance for every (sigma, policy) element at once.
+
+    sigmas and r broadcast together. Each element runs the scalar solver's
+    recurrence with its arithmetic, stops at its own round, and gets its
+    bits. Returns the thresholds, with array fields of the broadcast shape
+    (floats for scalar inputs), and the rounds each element took as an int
+    array of that shape: len(trace.upper_seq) - 1 of the scalar solver.
+
+    Refuses what the scalar solver refuses, with its messages: the first
+    refused sigma in order before any round is run, then the first element
+    whose bracket rounding stalls above tol.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    policies = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= policies) & (policies <= 1.0)):
+        raise DomainError("r must lie in [0,1]")
+    if not np.all(sigmas > 0.0):
+        raise DomainError("sigma must be positive")
+    budgets = np.array([_round_budget(s, tol) for s in sigmas.ravel().tolist()], dtype=np.int64)
+    shape = np.broadcast_shapes(sigmas.shape, policies.shape)
+
+    def per_element(values):
+        return np.broadcast_to(values, shape).flatten()
+
+    sigma = per_element(sigmas)
+    # rounds holds each element's budget until it stops, then its count.
+    rounds = per_element(budgets.reshape(sigmas.shape))
+    x_cutoff = np.empty_like(sigma)
+    stalled = {}
+
+    # Only live elements are iterated: their indices, their recurrence
+    # constants, and the bracket as one (2, live) array of upper and lower
+    # cutoffs, so a round updates both in five in-place calls. Elements are
+    # dropped in the round they stop; next_stop is the earliest live budget.
+    live = np.arange(sigma.size)
+    sig = sigma
+    scale = per_element(1.0 + 2.0 * sigmas)
+    shift = per_element(sigmas * (1.0 - 2.0 * policies))
+    bracket = np.stack([1.0 + sig + 1.0, -sig - 1.0])
+    next_stop = rounds.min(initial=_MAX_ROUNDS)
+    done = 0
+    while live.size:
+        done += 1
+        # best_response_cutoff: min(1, max(0, (x + sigma) / (1 + 2 sigma))) +
+        # sigma (1 - 2r); fmax(0, .) keeps the builtins' +0 and maps NaN to 0.
+        bracket += sig
+        bracket /= scale
+        np.fmax(0.0, bracket, out=bracket)
+        np.fmin(1.0, bracket, out=bracket)
+        bracket += shift
+        width = bracket[0] - bracket[1]
+        if done < next_stop and not width.min() <= tol:
+            continue
+        converged = width <= tol
+        stop = converged | (rounds[live] <= done)
+        finished = live[stop]
+        x_cutoff[finished] = 0.5 * (bracket[0, stop] + bracket[1, stop])
+        rounds[finished] = done
+        failed = stop & ~converged
+        stalled.update(zip(live[failed].tolist(), width[failed].tolist()))
+        keep = ~stop
+        live, sig, scale, shift = (a[keep] for a in (live, sig, scale, shift))
+        bracket = bracket[:, keep]
+        next_stop = rounds[live].min(initial=_MAX_ROUNDS)
+    if stalled:
+        first = min(stalled)
+        raise _stalled(stalled[first], int(rounds[first]), tol)
+    theta_cutoff = clamp_unit((x_cutoff + sigma) / (1.0 + 2.0 * sigma))
+    eq = ContinuationEquilibrium(
+        r=r,
+        x_cutoff=float_or_array(x_cutoff.reshape(shape)),
+        theta_cutoff=float_or_array(np.reshape(theta_cutoff, shape)),
+    )
+    return eq, rounds.reshape(shape)

@@ -7,25 +7,30 @@ derivative has a central finite difference. Each check below runs one such
 pair over a parameter grid and reports the worst absolute discrepancy.
 Each parameter point is solved once: the continuation thresholds over the
 policy grid in one array call, and the default signalling family in one
-call. Every check then reads those shared arrays (and the theta probes on
-them); only the finite-difference, branch-consistency and sensitivity checks
-solve their own shifted or filtered families.
+call. The dominance oracle is solved once per report: one batched
+recurrence over every (sigma, policy) pair of the grid. Every check then
+reads those shared arrays (and the theta probes on them); only the
+finite-difference, branch-consistency and sensitivity checks solve their
+own shifted or filtered families.
 Failures are data, not exceptions: callers read the report and pick an
 exit code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .continuation import (
+    ContinuationEquilibrium,
     attack_mass,
     closed_form_thresholds,
-    solve_iterated_dominance,
+    iterated_cutoffs,
     success_prob_given_signal,
 )
+from .errors import RegimeLabError
 from .model import ModelParams, cost, quiet_overflow
 from .signaling import (
     PolicyRegion,
@@ -100,12 +105,40 @@ def _worst(errors: np.ndarray) -> float:
 
 
 # Every check is a function of one parameter point and its solved
-# equilibria: cont, the continuation thresholds over _POLICIES, and eq, the
-# default signalling family.
+# equilibria: cont, the continuation thresholds over _POLICIES; eq, the
+# default signalling family; and iterated, the thresholds over _POLICIES by
+# iterated dominance, or the error the solver raised at this point.
 _POLICIES = np.linspace(0.0, 1.0, 21)
 
 
-def _check_continuation_closed_form(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _iterated_rows(params_list: list[ModelParams]) -> Iterable:
+    """Each point's iterated-dominance thresholds over _POLICIES, solved as one batch.
+
+    If the solver refuses a point (a round budget past its cap, or a bracket
+    that rounding stalls), the points are solved one at a time up to the
+    first refused one, whose entry is its error. run_verify raises it at that
+    point's dominance check, after its closed form and family, so the exit-2
+    line names the first failing point in grid order.
+    """
+    sigmas = np.array([params.sigma for params in params_list])
+    try:
+        iterated, _ = iterated_cutoffs(sigmas[:, None], _POLICIES, _SOLVER)
+    except RegimeLabError:
+        rows = []
+        for params in params_list:
+            try:
+                rows.append(iterated_cutoffs(params.sigma, _POLICIES, _SOLVER)[0])
+            except RegimeLabError as err:
+                rows.append(err)
+                break
+        return rows
+    return (
+        ContinuationEquilibrium(_POLICIES, x_row, theta_row)
+        for x_row, theta_row in zip(iterated.x_cutoff, iterated.theta_cutoff)
+    )
+
+
+def _check_continuation_closed_form(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     marginal = cont.theta_cutoff + params.sigma * (1.0 - 2.0 * cont.r)
     errors = np.hstack(
         [np.abs(cont.theta_cutoff - (1.0 - cont.r)), np.abs(cont.x_cutoff - marginal)]
@@ -113,38 +146,39 @@ def _check_continuation_closed_form(params: ModelParams, cont, eq) -> tuple[int,
     return cont.r.size, _worst(errors)
 
 
-def _check_continuation_fixed_point(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_continuation_fixed_point(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     mass = attack_mass(params, cont.x_cutoff, cont.theta_cutoff)
     return cont.r.size, _worst(np.abs(mass - cont.theta_cutoff))
 
 
-def _check_continuation_indifference(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_continuation_indifference(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     prob = success_prob_given_signal(params, cont.theta_cutoff, cont.x_cutoff)
     return cont.r.size, _worst(np.abs(prob - cont.r))
 
 
-def _check_continuation_dominance(params: ModelParams, cont, eq) -> tuple[int, float]:
-    iterated = [solve_iterated_dominance(params, float(p))[0] for p in cont.r]
+def _check_continuation_dominance(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+    if isinstance(iterated, RegimeLabError):
+        raise iterated
     errors = np.hstack(
         [
-            np.abs(np.array([it.x_cutoff for it in iterated]) - cont.x_cutoff),
-            np.abs(np.array([it.theta_cutoff for it in iterated]) - cont.theta_cutoff),
+            np.abs(iterated.x_cutoff - cont.x_cutoff),
+            np.abs(iterated.theta_cutoff - cont.theta_cutoff),
         ]
     )
     return cont.r.size, _worst(errors)
 
 
-def _check_continuation_monotonicity(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_continuation_monotonicity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     # Thresholds must fall strictly as the policy rises.
     diffs = np.hstack([np.diff(cont.x_cutoff), np.diff(cont.theta_cutoff)])
     return cont.r.size - 1, float(np.max(diffs))
 
 
-def _check_signaling_cost_threshold(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_signaling_cost_threshold(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     return eq.r_prime.size, _worst(np.abs(eq.theta_lower - cost(params, eq.r_prime)))
 
 
-def _check_signaling_indifference(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_signaling_indifference(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     # Routed through the signal-cutoff ramp rather than the piecewise form:
     # the piecewise form hits theta_lower at its own theta_upper by
     # construction and would mask an error in theta_upper itself.
@@ -152,7 +186,9 @@ def _check_signaling_indifference(params: ModelParams, cont, eq) -> tuple[int, f
     return eq.r_prime.size, _worst(np.abs(mass - eq.theta_lower))
 
 
-def _check_signaling_attack_consistency(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_signaling_attack_consistency(
+    params: ModelParams, cont, eq, iterated
+) -> tuple[int, float]:
     lo = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
     thetas = np.linspace(lo[:, 0] - 1.0, eq.theta_no_attack[:, 0] + 1.0, 41, axis=-1)
     piecewise = aggregate_attack_no_intervention(params, eq, thetas)
@@ -160,14 +196,14 @@ def _check_signaling_attack_consistency(params: ModelParams, cont, eq) -> tuple[
     return thetas.size, _worst(np.abs(piecewise - ramp))
 
 
-def _check_signaling_alt_form(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_signaling_alt_form(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     alt = 2.0 * params.sigma + (
         1.0 - 2.0 * params.sigma * params.r_lower / (1.0 - params.r_lower)
     ) * eq.theta_lower
     return eq.r_prime.size, _worst(np.abs(eq.theta_no_attack - alt))
 
 
-def _check_signaling_ordering(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_signaling_ordering(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     gaps = np.hstack(
         [
             eq.theta_lower - eq.theta_upper,
@@ -189,7 +225,7 @@ def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, f
     }
 
 
-def _check_welfare_continuity(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_welfare_continuity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     at_lower = _welfare_branch_values(params, eq, eq.theta_lower)
     at_upper = _welfare_branch_values(params, eq, eq.theta_upper)
     at_top = _welfare_branch_values(params, eq, eq.theta_no_attack)
@@ -203,7 +239,7 @@ def _check_welfare_continuity(params: ModelParams, cont, eq) -> tuple[int, float
     return gaps.size, _worst(gaps)
 
 
-def _check_welfare_branch_consistency(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_welfare_branch_consistency(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     # Members whose defend band is empty have nothing to compare.
     banded = _family(params, eq.r_prime[eq.theta_no_attack > eq.theta_upper])
     band = np.linspace(banded.theta_upper[:, 0], banded.theta_no_attack[:, 0], 21, axis=-1)
@@ -235,7 +271,7 @@ def _probe_derivatives(
     return points, deriv, counted
 
 
-def _check_derivative_signs(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_derivative_signs(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     noisy = params.sigma > critical_sigma(params)
     points, deriv, counted = _probe_derivatives(params, eq)
     region = classify_region(eq, points)
@@ -249,7 +285,9 @@ def _check_derivative_signs(params: ModelParams, cont, eq) -> tuple[int, float]:
     return int(counted.sum()), _worst(violation[counted])
 
 
-def _check_derivative_finite_difference(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_derivative_finite_difference(
+    params: ModelParams, cont, eq, iterated
+) -> tuple[int, float]:
     h = 1e-5
     inner = _inner_family_grid(params, h)
     eq_mid, eq_lo, eq_hi = (_family(params, r) for r in (inner, inner - h, inner + h))
@@ -260,7 +298,7 @@ def _check_derivative_finite_difference(params: ModelParams, cont, eq) -> tuple[
     return int(counted.sum()), _worst(np.abs(analytic - fd)[counted])
 
 
-def _check_threshold_sensitivity(params: ModelParams, cont, eq) -> tuple[int, float]:
+def _check_threshold_sensitivity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     h = 1e-6
     inner = _inner_family_grid(params, h)
     analytic = lower_threshold_sensitivity(params, inner)
@@ -301,11 +339,11 @@ def run_verify(params_list: list[ModelParams]) -> VerifyReport:
     """
     points = [0] * len(_CHECKS)
     worst = [-np.inf] * len(_CHECKS)
-    for params in params_list:
+    for params, iterated in zip(params_list, _iterated_rows(params_list)):
         cont = closed_form_thresholds(params, _POLICIES)
         eq = _family(params, _family_grid(params))
         for i, (_, fn, _) in enumerate(_CHECKS):
-            n, err = fn(params, cont, eq)
+            n, err = fn(params, cont, eq, iterated)
             points[i] += n
             # np.maximum, unlike max, keeps a NaN whichever side it is on.
             worst[i] = np.maximum(worst[i], err)

@@ -361,6 +361,29 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert (report["n_checks"], report["n_failed"]) == (15, 0)
 
+    @pytest.mark.parametrize(
+        "sigmas, line",
+        [
+            ("1e-6", "sigma = 1e-06 needs 10,910,952 rounds, over 1,000,000"),
+            ("1e-310", "sigma = 1e-310 needs more than 1e+15 rounds, over 1,000,000"),
+            ("1e-310,1e-6", "sigma = 1e-310 needs more than 1e+15 rounds, over 1,000,000"),
+            ("1e308,1e-6", "continuation thresholds are not finite at sigma = 1e+308"),
+            ("1e-6,1e308", "sigma = 1e-06 needs 10,910,952 rounds, over 1,000,000"),
+            # Rounding stalls the bracket at r = 0.75 at this sigma.
+            ("0.5,5735514493980689",
+             "cutoff bracket still 5.000e-01 wide after 3 iterations (tol=1.0e-09)"),
+            ("1e-6,5735514493980689", "sigma = 1e-06 needs 10,910,952 rounds, over 1,000,000"),
+        ],
+    )
+    def test_first_failing_point_names_the_exit_2_line(self, sigmas, line, capsys):
+        # The dominance oracle is solved for the whole grid before the point
+        # loop, but a point it refuses still fails at its turn, after its
+        # closed form and family, as when each point was solved on its own.
+        assert run(["verify", "--sigma", sigmas, "--rbar", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
     def test_empty_grid_exits_2(self, capsys):
         code = run(["verify", "--sigma", ""])
         assert code == 2
@@ -444,6 +467,30 @@ class TestVerifyHook:
         report = run_verify(grid)
         assert report.n_failed == 0
         assert calls == [21] * len(grid)
+
+    def test_dominance_oracle_does_not_read_the_closed_form(self, monkeypatch):
+        import regimelab.verify as verify_module
+
+        def shifted(params, r):
+            cont = closed_form_thresholds(params, r)
+            return dataclasses.replace(cont, x_cutoff=cont.x_cutoff + 1e-6)
+
+        monkeypatch.setattr(verify_module, "closed_form_thresholds", shifted)
+        report = run_verify([ModelParams(3.0, 0.2), ModelParams(0.5, 0.5)])
+        assert "continuation.dominance-oracle" in report.failed_names
+
+    def test_dominance_oracle_never_calls_the_scalar_solver(self, monkeypatch):
+        import regimelab.continuation as continuation_module
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("verify called the scalar dominance solver")
+
+        monkeypatch.setattr(continuation_module, "solve_iterated_dominance", scalar)
+        sigmas = (0.1, 0.2, 0.35, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20)
+        rbars = np.arange(1, 19) / 20
+        report = run_verify([ModelParams(s, float(rb)) for s in sigmas for rb in rbars])
+        assert (report.n_checks, report.n_failed) == (15, 0)
+        assert sum(res.points for res in report.results) == 619_203
 
     def test_unperturbed_passes(self):
         grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5)]

@@ -10,10 +10,12 @@ from regimelab import (
     attack_mass,
     best_response_cutoff,
     closed_form_thresholds,
+    iterated_cutoffs,
     regime_fall_threshold,
     solve_iterated_dominance,
     success_prob_given_signal,
 )
+from regimelab.verify import _POLICIES
 
 TIGHT = 1e-12
 SOLVER_TOL = 1e-9
@@ -186,6 +188,85 @@ class TestIteratedDominance:
             assert trace.upper_seq[-1] - trace.lower_seq[-1] <= SOLVER_TOL
             # theta_cutoff = 1 - r needs no cancellation at any sigma.
             assert eq.theta_cutoff == pytest.approx(1.0 - r, abs=SOLVER_TOL)
+
+
+# The sigma axis of the verify-grid benchmark, then noise scales from where
+# the round budget nears its cap to where 2*sigma nears overflow.
+VERIFY_GRID_SIGMAS = (0.1, 0.2, 0.35, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20)
+EXTREME_SIGMAS = (1e-4, 1e-3, 1e6, 1e12, 1e15, 5e307)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+class TestBatchedDominance:
+    """iterated_cutoffs against solve_iterated_dominance, bit for bit."""
+
+    def test_every_element_matches_the_scalar_solver(self):
+        sigmas = VERIFY_GRID_SIGMAS + EXTREME_SIGMAS
+        eq, rounds = iterated_cutoffs(np.array(sigmas)[:, None], _POLICIES)
+        assert eq.x_cutoff.shape == eq.theta_cutoff.shape == rounds.shape == (len(sigmas), 21)
+        for i, sigma in enumerate(sigmas):
+            # At sigma = 1e-4 the scalar solver runs about 104,000 rounds a policy.
+            columns = range(0, 21, 5) if sigma == 1e-4 else range(21)
+            for j in columns:
+                scalar, trace = solve_iterated_dominance(ModelParams(sigma, 0.2), _POLICIES[j])
+                assert bits(eq.x_cutoff[i, j]) == bits(scalar.x_cutoff), (sigma, j)
+                assert bits(eq.theta_cutoff[i, j]) == bits(scalar.theta_cutoff), (sigma, j)
+                assert rounds[i, j] == len(trace.upper_seq) - 1, (sigma, j)
+
+    def test_scalar_inputs_give_floats(self):
+        eq, rounds = iterated_cutoffs(0.5, 0.25)
+        scalar, trace = solve_iterated_dominance(HALF, 0.25)
+        assert type(eq.x_cutoff) is float and type(eq.theta_cutoff) is float
+        assert (eq.x_cutoff, eq.theta_cutoff) == (scalar.x_cutoff, scalar.theta_cutoff)
+        assert rounds == len(trace.upper_seq) - 1
+
+    def test_rounding_stall_raises_the_scalar_message(self):
+        message = "cutoff bracket still 2.220e-16 wide after 60 iterations (tol=1.0e-17)"
+        with pytest.raises(ConvergenceError) as scalar:
+            solve_iterated_dominance(HALF, 0.3, tol=1e-17)
+        assert str(scalar.value) == message
+        with pytest.raises(ConvergenceError, match=r"^cutoff bracket still 2\.220e-16 wide"):
+            iterated_cutoffs(0.5, 0.3, tol=1e-17)
+        # A batch names its first stalled element in order, not the first to
+        # stall: sigma = 0.25 stalls after 101 rounds, and at r = 0.3
+        # sigma = 0.5 stalls after 60 (at r = 0 it converges).
+        with pytest.raises(ConvergenceError) as first:
+            solve_iterated_dominance(ModelParams(0.25, 0.2), 0.0, tol=1e-17)
+        with pytest.raises(ConvergenceError) as batched:
+            iterated_cutoffs(np.array([[0.25], [0.5]]), np.array([0.0, 0.3]), tol=1e-17)
+        assert str(batched.value) == str(first.value) != message
+
+    @pytest.mark.parametrize(
+        "sigmas, refused",
+        [
+            ([1e-6], 1e-6),
+            ([0.5, 1e-310, 1e-6], 1e-310),
+            ([0.5, 1e-6, 1e-310], 1e-6),
+            ([5e-324], 5e-324),
+            ([1e308, 1e-6], 1e308),
+        ],
+    )
+    def test_first_refused_sigma_gets_the_scalar_message(self, sigmas, refused):
+        with pytest.raises(DomainError) as scalar:
+            solve_iterated_dominance(ModelParams(refused, 0.2), 0.5)
+        with pytest.raises(DomainError) as batched:
+            iterated_cutoffs(np.array(sigmas)[:, None], _POLICIES)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize(
+        "sigmas, r, tol",
+        [(0.5, 1.5, 1e-9), (0.5, np.nan, 1e-9), (-0.5, 0.5, 1e-9), (0.5, 0.5, 0.0)],
+    )
+    def test_invalid_input_rejected(self, sigmas, r, tol):
+        with pytest.raises(DomainError):
+            iterated_cutoffs(sigmas, r, tol)
+
+    def test_empty_batch(self):
+        eq, rounds = iterated_cutoffs(np.empty((0, 1)), _POLICIES)
+        assert eq.x_cutoff.shape == rounds.shape == (0, 21)
 
 
 class TestEquilibriumIdentities:
