@@ -31,6 +31,7 @@ import math
 import sys
 from enum import Enum
 from itertools import repeat, starmap
+from operator import attrgetter
 
 from .continuation import closed_form_thresholds, require_tolerance, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError
@@ -209,14 +210,18 @@ def _json_cells(cells) -> list[str]:
             raise DomainError(_NOT_FINITE)
         return list(map(repr, map(float, map("{:.9g}".format, cells))))
     if isinstance(first, Enum):
-        lookup = {member: json.dumps(member.value) for member in type(first)}
-        return list(map(lookup.__getitem__, cells))
+        # Keyed by _value_, a plain instance attribute: the value property
+        # and Enum.__hash__ both run Python code per cell.
+        lookup = {member._value_: json.dumps(member._value_) for member in type(first)}
+        return list(map(lookup.__getitem__, map(attrgetter("_value_"), cells)))
     return list(map(json.dumps, cells))
 
 
 def _csv_field(cell) -> str:
     """The CSV format field of a cell: 9 significant digits, an enum's value, else str."""
-    return "{:.9g}" if isinstance(cell, float) else "{.value}" if isinstance(cell, Enum) else "{}"
+    if isinstance(cell, float):
+        return "{:.9g}"
+    return "{._value_}" if isinstance(cell, Enum) else "{}"
 
 
 def _template_fields(columns: tuple[str, ...], constants: dict, encode, slots) -> list[str]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, clamp_unit, float_or_array, quiet_overflow
+from .model import ModelParams, clamp_unit, first_where, float_or_array, quiet_overflow
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,20 @@ def _require_unit_policy(r: float) -> None:
 def closed_form_thresholds(params: ModelParams, r: float) -> ContinuationEquilibrium:
     """Equilibrium thresholds of the fixed-policy game, in closed form.
 
-    r may be an array of policies, solved elementwise into array fields; a
-    scalar r gives float fields. Every policy must lie in [0,1], and every
-    threshold must be finite.
+    r may be an array of policies, and params may hold arrays, solved
+    elementwise into array fields (theta_cutoff, which reads no param, has
+    the shape of r); scalars give float fields. Every policy must lie in
+    [0,1], and every threshold must be finite (the message names the first
+    sigma where one is not).
     """
     if not np.all((0.0 <= r) & (r <= 1.0)):
         raise DomainError("r must lie in [0,1]")
     theta_cutoff = 1.0 - r
     x_cutoff = (1.0 + 2.0 * params.sigma) * (1.0 - r) - params.sigma
-    if not np.all(np.isfinite(x_cutoff)):
-        raise DomainError(f"continuation thresholds are not finite at sigma = {params.sigma:g}")
+    finite = np.isfinite(x_cutoff)
+    if not np.all(finite):
+        sigma = first_where(params.sigma, ~finite)
+        raise DomainError(f"continuation thresholds are not finite at sigma = {sigma:g}")
     return ContinuationEquilibrium(r=r, x_cutoff=x_cutoff, theta_cutoff=theta_cutoff)
 
 

@@ -28,15 +28,18 @@ class ModelParams:
              [-sigma, sigma]; sigma is the noise half-width.
     r_lower: the baseline (zero-cost) policy level; raising the policy to r
              costs (r - r_lower)^2 / 2.
+
+    Both may be arrays that broadcast together, one element per parameter
+    point, as verify passes them; every element is validated.
     """
 
     sigma: float
     r_lower: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
+        if not np.all(self.sigma > 0):
             raise DomainError("sigma must be positive")
-        if not 0.0 < self.r_lower < 1.0:
+        if not np.all((0.0 < self.r_lower) & (self.r_lower < 1.0)):
             raise DomainError("r_lower must lie in (0,1)")
 
 
@@ -48,6 +51,15 @@ quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 def float_or_array(value):
     """A 0-d numpy result as a Python float; an array result unchanged."""
     return float(value) if np.ndim(value) == 0 else value
+
+
+def first_where(value, where) -> float:
+    """value at the first true element of where, value broadcast to its shape.
+
+    Names the offending element of an array in an error message; with
+    scalars it is float(value).
+    """
+    return float(np.broadcast_to(value, np.shape(where))[where][0])
 
 
 def clamp_unit(raw):

@@ -24,14 +24,13 @@ the whole benefit of surviving, cost(max_policy) = 1 - r_lower.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, clamp_unit, cost, float_or_array, quiet_overflow
+from .model import ModelParams, clamp_unit, cost, first_where, float_or_array, quiet_overflow
 
 
 class PolicyRegion(Enum):
@@ -62,17 +61,25 @@ class SignalingEquilibrium:
 
 
 def max_policy(params: ModelParams) -> float:
-    """Largest sustainable intervention: cost(max_policy) = 1 - r_lower."""
-    return params.r_lower + math.sqrt(2.0 * (1.0 - params.r_lower))
+    """Largest sustainable intervention: cost(max_policy) = 1 - r_lower.
+
+    Elementwise for array params; a scalar r_lower gives a float.
+    """
+    return float_or_array(params.r_lower + np.sqrt(2.0 * (1.0 - params.r_lower)))
 
 
 def check_family_member(params: ModelParams, r_prime: float) -> None:
-    """Reject an r_prime (any element of an array) outside (r_lower, r_tilde]."""
+    """Reject an r_prime (any element of an array) outside (r_lower, r_tilde].
+
+    The message names the interval of the first element outside it.
+    """
     r_tilde = max_policy(params)
-    if not np.all((params.r_lower < r_prime) & (r_prime <= r_tilde)):
+    inside = (params.r_lower < r_prime) & (r_prime <= r_tilde)
+    if not np.all(inside):
+        outside = np.logical_not(inside)
         raise DomainError(
             f"r_prime must lie in (r_lower, r_tilde] = "
-            f"({params.r_lower:g}, {r_tilde:.9g}]"
+            f"({first_where(params.r_lower, outside):g}, {first_where(r_tilde, outside):.9g}]"
         )
 
 
@@ -82,7 +89,8 @@ def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium
 
     Rejects r_prime at or below the baseline (no signal content) and above
     max_policy (intervening would cost more than survival is worth). An
-    array r_prime gives one equilibrium per element, in array fields.
+    array r_prime, or array params, gives one equilibrium per element of
+    their broadcast, in array fields.
     """
     check_family_member(params, r_prime)
     sigma = params.sigma
@@ -90,8 +98,11 @@ def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium
     theta_upper = 2.0 * sigma + (1.0 - 2.0 * sigma / (1.0 - params.r_lower)) * theta_lower
     x_prime = theta_upper + sigma * (2.0 * theta_lower - 1.0)
     theta_no_attack = theta_upper + 2.0 * sigma * theta_lower
-    if not np.isfinite((theta_upper, x_prime, theta_no_attack)).all():
-        raise DomainError(f"signalling thresholds are not finite at sigma = {sigma:g}")
+    finite = np.isfinite(theta_upper) & np.isfinite(x_prime) & np.isfinite(theta_no_attack)
+    if not np.all(finite):
+        raise DomainError(
+            f"signalling thresholds are not finite at sigma = {first_where(sigma, ~finite):g}"
+        )
     return SignalingEquilibrium(
         r_prime=r_prime,
         theta_lower=theta_lower,

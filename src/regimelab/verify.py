@@ -5,26 +5,28 @@ number: the continuation thresholds have the dominance iteration, the
 signalling indifference has the attack-cutoff ramp, the analytic welfare
 derivative has a central finite difference. Each check below runs one such
 pair over a parameter grid and reports the worst absolute discrepancy.
-Each parameter point is solved once: the continuation thresholds over the
-policy grid in one array call, and the default signalling family in one
-call. The dominance oracle is solved once per report: one batched
-recurrence over every (sigma, policy) pair of the grid. Every check then
-reads those shared arrays (and the theta probes on them); only the
-finite-difference, branch-consistency and sensitivity checks solve their
-own shifted or filtered families.
+
+The grid runs in blocks of _BLOCK points, whose sigma and r_lower are a
+leading array axis; policies, family members and theta probes are trailing
+axes. Each block is solved once: the continuation thresholds over the
+policy grid, the default signalling family, and the dominance oracle as one
+batched recurrence, one array call each. Every check reads those shared
+arrays (and the theta probes on them) and returns its points and worst
+error over the block; only the finite-difference and sensitivity checks
+solve their own shifted families. A check that covers only some family
+members counts the others out with a mask, so every point gets the bits
+and counts it got when each point was solved on its own.
 Failures are data, not exceptions: callers read the report and pick an
-exit code.
+exit code. A point the solvers refuse raises, the first in grid order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .continuation import (
-    ContinuationEquilibrium,
     attack_mass,
     closed_form_thresholds,
     iterated_cutoffs,
@@ -41,7 +43,12 @@ from .signaling import (
     max_policy,
     solve_signaling,
 )
-from .statics import critical_sigma, lower_threshold_sensitivity, welfare_derivative_in_rprime
+from .statics import (
+    _SWEEP_SLICE,
+    critical_sigma,
+    lower_threshold_sensitivity,
+    welfare_derivative_in_rprime,
+)
 
 _TIGHT = 1e-12
 _SOLVER = 1e-9
@@ -81,97 +88,93 @@ class VerifyReport:
         }
 
 
-def _family_grid(params: ModelParams, n: int = 25) -> np.ndarray:
+# Every check reads one block of parameter points and its solved equilibria.
+# params holds sigma and r_lower as (points, 1, 1) columns; the trailing
+# axes hold policies, family members and theta probes. cont is the
+# continuation thresholds over _POLICIES, (points, 1, 21); eq the default
+# signalling family, fields (points, 25, 1); iterated the thresholds over
+# _POLICIES by iterated dominance. A check returns its points and its worst
+# error over the block.
+_POLICIES = np.linspace(0.0, 1.0, 21)
+_MEMBERS = 25
+_ATTACK_PROBES = 41
+# Points per block: the largest array a check builds, the attack-consistency
+# probes (points x 25 x 41), stays within the statics sweep slice.
+_BLOCK = _SWEEP_SLICE // (_MEMBERS * _ATTACK_PROBES)
+
+
+def _family_grid(params: ModelParams) -> np.ndarray:
+    """The default family: _MEMBERS evenly spaced up to r_tilde, as (points, _MEMBERS, 1)."""
     r_tilde = max_policy(params)
-    grid = params.r_lower + np.arange(1, n + 1) / n * (r_tilde - params.r_lower)
-    grid[-1] = r_tilde
+    fractions = np.arange(1, _MEMBERS + 1) / _MEMBERS
+    grid = params.r_lower + fractions[:, None] * (r_tilde - params.r_lower)
+    grid[:, -1] = r_tilde[:, 0]
     return grid
 
 
-def _inner_family_grid(params: ModelParams, h: float) -> np.ndarray:
-    """Family members at least 2h inside both ends, for central differences."""
-    grid = _family_grid(params)
-    return grid[(params.r_lower + 2 * h < grid) & (grid < max_policy(params) - 2 * h)]
+def _inner_members(params: ModelParams, r_prime: np.ndarray, h: float) -> np.ndarray:
+    """Which family members lie at least 2h inside both ends, for central differences."""
+    return (params.r_lower + 2 * h < r_prime) & (r_prime < max_policy(params) - 2 * h)
 
 
-def _family(params: ModelParams, r_primes: np.ndarray) -> SignalingEquilibrium:
-    """Equilibria of r_primes, fields as (members, 1) columns."""
-    return solve_signaling(params, r_primes[:, None])
+def _shifted(r_prime: np.ndarray, inner: np.ndarray, step: float) -> np.ndarray:
+    """r_prime + step on the inner members; the others stay put, valid and never counted."""
+    return np.where(inner, r_prime + step, r_prime)
 
 
-def _worst(errors: np.ndarray) -> float:
-    """Largest error, floored at zero (an empty set of points has none); NaN if any is NaN."""
-    return float(np.max(errors, initial=0.0))
+def _probe_grid(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(start, stop, num) along the last axis, each element on its own.
 
-
-# Every check is a function of one parameter point and its solved
-# equilibria: cont, the continuation thresholds over _POLICIES; eq, the
-# default signalling family; and iterated, the thresholds over _POLICIES by
-# iterated dominance, or the error the solver raised at this point.
-_POLICIES = np.linspace(0.0, 1.0, 21)
-
-
-def _iterated_rows(params_list: list[ModelParams]) -> Iterable:
-    """Each point's iterated-dominance thresholds over _POLICIES, solved as one batch.
-
-    If the solver refuses a point (a round budget past its cap, or a bracket
-    that rounding stalls), the points are solved one at a time up to the
-    first refused one, whose entry is its error. run_verify raises it at that
-    point's dominance check, after its closed form and family, so the exit-2
-    line names the first failing point in grid order.
+    start and stop are (..., 1) columns. Where any one element's step is 0,
+    np.linspace computes k / (num - 1) * delta instead of k * step for the
+    whole batch, so a member that is never counted would change the bits of
+    its block neighbours; here only that element takes the other formula.
     """
-    sigmas = np.array([params.sigma for params in params_list])
-    try:
-        iterated, _ = iterated_cutoffs(sigmas[:, None], _POLICIES, _SOLVER)
-    except RegimeLabError:
-        rows = []
-        for params in params_list:
-            try:
-                rows.append(iterated_cutoffs(params.sigma, _POLICIES, _SOLVER)[0])
-            except RegimeLabError as err:
-                rows.append(err)
-                break
-        return rows
-    return (
-        ContinuationEquilibrium(_POLICIES, x_row, theta_row)
-        for x_row, theta_row in zip(iterated.x_cutoff, iterated.theta_cutoff)
-    )
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    k = np.arange(num, dtype=float)
+    grid = np.where(step == 0, k / div * delta, k * step) + start
+    grid[..., -1:] = stop
+    return grid
+
+
+def _worst(*errors: np.ndarray) -> float:
+    """Largest error in any of the arrays, floored at zero; NaN if any is NaN.
+
+    An empty set of points has no error, so it gives zero.
+    """
+    return float(np.max([np.max(e, initial=0.0) for e in errors]))
 
 
 def _check_continuation_closed_form(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     marginal = cont.theta_cutoff + params.sigma * (1.0 - 2.0 * cont.r)
-    errors = np.hstack(
-        [np.abs(cont.theta_cutoff - (1.0 - cont.r)), np.abs(cont.x_cutoff - marginal)]
-    )
-    return cont.r.size, _worst(errors)
+    errors = (np.abs(cont.theta_cutoff - (1.0 - cont.r)), np.abs(cont.x_cutoff - marginal))
+    return cont.x_cutoff.size, _worst(*errors)
 
 
 def _check_continuation_fixed_point(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     mass = attack_mass(params, cont.x_cutoff, cont.theta_cutoff)
-    return cont.r.size, _worst(np.abs(mass - cont.theta_cutoff))
+    return cont.x_cutoff.size, _worst(np.abs(mass - cont.theta_cutoff))
 
 
 def _check_continuation_indifference(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     prob = success_prob_given_signal(params, cont.theta_cutoff, cont.x_cutoff)
-    return cont.r.size, _worst(np.abs(prob - cont.r))
+    return cont.x_cutoff.size, _worst(np.abs(prob - cont.r))
 
 
 def _check_continuation_dominance(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
-    if isinstance(iterated, RegimeLabError):
-        raise iterated
-    errors = np.hstack(
-        [
-            np.abs(iterated.x_cutoff - cont.x_cutoff),
-            np.abs(iterated.theta_cutoff - cont.theta_cutoff),
-        ]
+    errors = (
+        np.abs(iterated.x_cutoff - cont.x_cutoff),
+        np.abs(iterated.theta_cutoff - cont.theta_cutoff),
     )
-    return cont.r.size, _worst(errors)
+    return cont.x_cutoff.size, _worst(*errors)
 
 
 def _check_continuation_monotonicity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     # Thresholds must fall strictly as the policy rises.
-    diffs = np.hstack([np.diff(cont.x_cutoff), np.diff(cont.theta_cutoff)])
-    return cont.r.size - 1, float(np.max(diffs))
+    x_diffs = np.diff(cont.x_cutoff)
+    return x_diffs.size, float(np.max([np.max(x_diffs), np.max(np.diff(cont.theta_cutoff))]))
 
 
 def _check_signaling_cost_threshold(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
@@ -190,7 +193,7 @@ def _check_signaling_attack_consistency(
     params: ModelParams, cont, eq, iterated
 ) -> tuple[int, float]:
     lo = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
-    thetas = np.linspace(lo[:, 0] - 1.0, eq.theta_no_attack[:, 0] + 1.0, 41, axis=-1)
+    thetas = _probe_grid(lo - 1.0, eq.theta_no_attack + 1.0, _ATTACK_PROBES)
     piecewise = aggregate_attack_no_intervention(params, eq, thetas)
     ramp = attack_mass(params, eq.x_prime, thetas)
     return thetas.size, _worst(np.abs(piecewise - ramp))
@@ -204,14 +207,12 @@ def _check_signaling_alt_form(params: ModelParams, cont, eq, iterated) -> tuple[
 
 
 def _check_signaling_ordering(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
-    gaps = np.hstack(
-        [
-            eq.theta_lower - eq.theta_upper,
-            eq.theta_upper - eq.theta_no_attack,
-            eq.theta_lower - (1.0 - params.r_lower),
-        ]
+    gaps = (
+        eq.theta_lower - eq.theta_upper,
+        eq.theta_upper - eq.theta_no_attack,
+        eq.theta_lower - (1.0 - params.r_lower),
     )
-    return eq.r_prime.size, _worst(gaps)
+    return eq.r_prime.size, _worst(*gaps)
 
 
 def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, float]:
@@ -229,24 +230,22 @@ def _check_welfare_continuity(params: ModelParams, cont, eq, iterated) -> tuple[
     at_lower = _welfare_branch_values(params, eq, eq.theta_lower)
     at_upper = _welfare_branch_values(params, eq, eq.theta_upper)
     at_top = _welfare_branch_values(params, eq, eq.theta_no_attack)
-    gaps = np.hstack(
-        [
-            np.abs(at_lower["abandon"] - at_lower["intervene"]),
-            np.abs(at_upper["intervene"] - at_upper["defend"]),
-            np.abs(at_top["defend"] - at_top["no_attack"]),
-        ]
+    gaps = (
+        np.abs(at_lower["abandon"] - at_lower["intervene"]),
+        np.abs(at_upper["intervene"] - at_upper["defend"]),
+        np.abs(at_top["defend"] - at_top["no_attack"]),
     )
-    return gaps.size, _worst(gaps)
+    return 3 * eq.r_prime.size, _worst(*gaps)
 
 
 def _check_welfare_branch_consistency(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     # Members whose defend band is empty have nothing to compare.
-    banded = _family(params, eq.r_prime[eq.theta_no_attack > eq.theta_upper])
-    band = np.linspace(banded.theta_upper[:, 0], banded.theta_no_attack[:, 0], 21, axis=-1)
-    thetas = band[:, :-1]
-    direct = ex_post_welfare(params, banded, thetas)
-    via_attack = thetas - aggregate_attack_no_intervention(params, banded, thetas)
-    return thetas.size, _worst(np.abs(direct - via_attack))
+    banded = (eq.theta_no_attack > eq.theta_upper)[..., 0]
+    thetas = _probe_grid(eq.theta_upper, eq.theta_no_attack, 21)[..., :-1]
+    direct = ex_post_welfare(params, eq, thetas)
+    via_attack = thetas - aggregate_attack_no_intervention(params, eq, thetas)
+    errors = np.abs(direct - via_attack)[banded]
+    return errors.size, _worst(errors)
 
 
 def _probe_derivatives(
@@ -257,17 +256,18 @@ def _probe_derivatives(
     The intervene band's midpoint does not count where the band is empty, and
     a probe that lands exactly on a kink (NaN) is skipped on its own.
     """
-    points = np.hstack(
+    points = np.concatenate(
         [
             eq.theta_lower - 0.5,
             0.5 * (eq.theta_lower + eq.theta_upper),
             0.5 * (eq.theta_upper + eq.theta_no_attack),
             eq.theta_no_attack + 0.5,
-        ]
+        ],
+        axis=-1,
     )
     deriv = welfare_derivative_in_rprime(params, eq, points)
     counted = ~np.isnan(deriv)
-    counted[:, 1:2] &= eq.theta_upper > eq.theta_lower
+    counted[..., 1:2] &= eq.theta_upper > eq.theta_lower
     return points, deriv, counted
 
 
@@ -279,7 +279,7 @@ def _check_derivative_signs(params: ModelParams, cont, eq, iterated) -> tuple[in
     # when precise; elsewhere the slope is zero.
     violation = np.select(
         [region == PolicyRegion.INTERVENE, region == PolicyRegion.DEFEND_UNDER_ATTACK],
-        [deriv, -deriv if noisy else deriv],
+        [deriv, np.where(noisy, -deriv, deriv)],
         np.abs(deriv),
     )
     return int(counted.sum()), _worst(violation[counted])
@@ -289,9 +289,10 @@ def _check_derivative_finite_difference(
     params: ModelParams, cont, eq, iterated
 ) -> tuple[int, float]:
     h = 1e-5
-    inner = _inner_family_grid(params, h)
-    eq_mid, eq_lo, eq_hi = (_family(params, r) for r in (inner, inner - h, inner + h))
-    points, analytic, counted = _probe_derivatives(params, eq_mid)
+    inner = _inner_members(params, eq.r_prime, h)
+    eq_lo, eq_hi = (solve_signaling(params, _shifted(eq.r_prime, inner, s)) for s in (-h, h))
+    points, analytic, counted = _probe_derivatives(params, eq)
+    counted &= inner
     fd = (
         ex_post_welfare(params, eq_hi, points) - ex_post_welfare(params, eq_lo, points)
     ) / (2.0 * h)
@@ -300,16 +301,16 @@ def _check_derivative_finite_difference(
 
 def _check_threshold_sensitivity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
     h = 1e-6
-    inner = _inner_family_grid(params, h)
-    analytic = lower_threshold_sensitivity(params, inner)
+    inner = _inner_members(params, eq.r_prime, h)
+    analytic = lower_threshold_sensitivity(params, eq.r_prime)
     fd = (
-        solve_signaling(params, inner + h).theta_lower
-        - solve_signaling(params, inner - h).theta_lower
+        solve_signaling(params, _shifted(eq.r_prime, inner, h)).theta_lower
+        - solve_signaling(params, _shifted(eq.r_prime, inner, -h)).theta_lower
     ) / (2.0 * h)
-    return inner.size, _worst(np.abs(analytic - fd))
+    return int(inner.sum()), _worst(np.abs(analytic - fd)[inner])
 
 
-# Each cross-check as (name, check of one parameter point, tolerance).
+# Each cross-check as (name, check of one block of parameter points, tolerance).
 _CHECKS = (
     ("continuation.closed-form", _check_continuation_closed_form, _TIGHT),
     ("continuation.fixed-point", _check_continuation_fixed_point, _TIGHT),
@@ -330,20 +331,49 @@ _CHECKS = (
 )
 
 
+def _check_block(block: list[ModelParams]) -> list[tuple[int, float]]:
+    """Solve a block of parameter points once and run every check on it.
+
+    Solves the continuation thresholds, then the signalling family, then the
+    dominance oracle, so a single point raises what it raised when each point
+    was solved on its own, in that order.
+    """
+    params = ModelParams(
+        np.array([point.sigma for point in block])[:, None, None],
+        np.array([point.r_lower for point in block])[:, None, None],
+    )
+    cont = closed_form_thresholds(params, _POLICIES)
+    eq = solve_signaling(params, _family_grid(params))
+    iterated, _ = iterated_cutoffs(params.sigma, _POLICIES, _SOLVER)
+    return [fn(params, cont, eq, iterated) for _, fn, _ in _CHECKS]
+
+
+def _solve_block(block: list[ModelParams]) -> list[tuple[int, float]]:
+    """_check_block, raising the first refused point's error in grid order.
+
+    A block refused as a whole is walked one point at a time until a point
+    raises; the points before it pass, as they did in the block.
+    """
+    try:
+        return _check_block(block)
+    except RegimeLabError:
+        for params in block:
+            _check_block([params])
+        raise
+
+
 @quiet_overflow
 def run_verify(params_list: list[ModelParams]) -> VerifyReport:
-    """Solve each parameter point once, run every cross-check on it, and collect a report.
+    """Run every cross-check over the grid, _BLOCK points at a time, and collect a report.
 
     A NaN or infinite error, such as overflow at an extreme sigma gives, fails
-    its check with a max_error of None; it raises no numpy warning.
+    its check with a max_error of None; it raises no numpy warning. The first
+    point the solvers refuse, in grid order, raises its error.
     """
     points = [0] * len(_CHECKS)
     worst = [-np.inf] * len(_CHECKS)
-    for params, iterated in zip(params_list, _iterated_rows(params_list)):
-        cont = closed_form_thresholds(params, _POLICIES)
-        eq = _family(params, _family_grid(params))
-        for i, (_, fn, _) in enumerate(_CHECKS):
-            n, err = fn(params, cont, eq, iterated)
+    for start in range(0, len(params_list), _BLOCK):
+        for i, (n, err) in enumerate(_solve_block(params_list[start : start + _BLOCK])):
             points[i] += n
             # np.maximum, unlike max, keeps a NaN whichever side it is on.
             worst[i] = np.maximum(worst[i], err)

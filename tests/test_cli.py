@@ -456,17 +456,20 @@ class TestVerifyHook:
     def test_each_point_is_solved_once(self, monkeypatch):
         import regimelab.verify as verify_module
 
-        calls = []
+        # Points are solved a block at a time, so count the policy elements
+        # each call solves: 21 per point, and no point twice.
+        solved = []
 
         def counted(params, r):
-            calls.append(np.size(r))
-            return closed_form_thresholds(params, r)
+            cont = closed_form_thresholds(params, r)
+            solved.append(np.size(cont.x_cutoff))
+            return cont
 
         monkeypatch.setattr(verify_module, "closed_form_thresholds", counted)
-        grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5), ModelParams(1.0, 0.35)]
+        grid = [ModelParams(3.0, 0.2), ModelParams(0.5, 0.5), ModelParams(1.0, 0.35)] * 7
         report = run_verify(grid)
         assert report.n_failed == 0
-        assert calls == [21] * len(grid)
+        assert sum(solved) == 21 * len(grid)
 
     def test_dominance_oracle_does_not_read_the_closed_form(self, monkeypatch):
         import regimelab.verify as verify_module
