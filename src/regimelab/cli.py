@@ -10,8 +10,10 @@ Six subcommands map onto the solver modules:
     verify         cross-checking suite over a parameter grid
 
 Outputs are CSV (default) or JSON, to stdout or --out. Numbers carry 9
-significant digits: CSV writes them in .9g form, JSON as the shortest float
-repr of that rounding, so 1e9 is 1e+09 in CSV and 1000000000.0 in JSON.
+significant digits and both formats start from their .9g text. CSV writes
+that text; JSON writes it too where it has a decimal point and no exponent,
+and elsewhere the shortest float repr of the rounded value, so 1e9 is
+1e+09 in CSV and 1000000000.0 in JSON.
 CSV uses a header row; both are UTF-8 with LF line endings and JSON is laid
 out as json.dumps(indent=2) lays it out. A verify max_error that is not
 finite is null in JSON and an empty CSV cell.
@@ -198,17 +200,32 @@ class _Options:
 _NOT_FINITE = "result is not finite; JSON has no encoding for it"
 
 
+def _json_number(text: str) -> str:
+    """The shortest float repr of a .9g text that has no point or has an exponent.
+
+    inf, -inf and nan have no point, so every non-finite cell ends up here.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise DomainError(_NOT_FINITE)
+    return repr(value)
+
+
 def _json_cells(cells) -> list[str]:
     """JSON text of each cell of one column, whose cells share the first one's type.
 
     A float is rounded to 9 significant digits and written as the shortest
-    repr of that rounding, which is what json.dumps prints for it.
+    repr of that rounding, which is what json.dumps prints for it. A .9g
+    text in fixed notation with a point already is that repr: it has at most
+    9 digits, no other decimal that short lies within an ulp of it, and repr
+    keeps fixed notation for exponents in [-4, 16), which hold .9g's [-4, 9).
     """
     first = cells[0]
     if isinstance(first, float):
-        if not all(map(math.isfinite, cells)):
-            raise DomainError(_NOT_FINITE)
-        return list(map(repr, map(float, map("{:.9g}".format, cells))))
+        return [
+            _json_number(text) if "." not in text or "e" in text else text
+            for text in map("{:.9g}".format, cells)
+        ]
     if isinstance(first, Enum):
         # Keyed by _value_, a plain instance attribute: the value property
         # and Enum.__hash__ both run Python code per cell.

@@ -29,7 +29,7 @@ from regimelab import (
     solve_iterated_dominance,
     solve_signaling,
 )
-from regimelab.cli import _COLUMNS, _emit_rows, _parse_theta_spec
+from regimelab.cli import _COLUMNS, _emit_rows, _json_cells, _parse_theta_spec
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
 
@@ -666,6 +666,57 @@ class TestJsonEncoder:
         _emit_rows("compare", rows, "json", None, **constants)
         text = capsys.readouterr().out
         assert '"welfare": 0.0,' in text and '"welfare": -0.0,' in text
+
+
+# Floats at the edges of the JSON cell rule, where the .9g text is kept as it
+# is or fixed up through the shortest float repr.
+_NUMBER_EDGES = [
+    # Subnormals, and the neighbours of the smallest normal.
+    5e-324, -5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+    math.nextafter(sys.float_info.min, 1.0),
+    0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308,
+    # Every power of ten from 1e-323, the smallest a double holds, to 1e308.
+    *(float(f"1e{k}") for k in range(-323, 309)),
+    # Nine-digit roundings that carry into the next decade.
+    0.99999999995, 999999999.5, 9.9999999995e-5, 99999999.95, 9.9999999995e15,
+    -0.99999999995, -999999999.5,
+    # .9g switches to an exponent below 1e-4 and from 1e9; repr does so
+    # below 1e-4 and from 1e16.
+    *(sign * 1.23456789 * 10.0**k for k in (-5, -4, 8, 9, 15, 16) for sign in (1, -1)),
+    0.1 + 0.2, 2.5, 3.0, 123456789.0, 1.5e16,
+]
+
+
+def _with_examples(values):
+    def decorate(test):
+        for value in values:
+            test = example(value=value)(test)
+        return test
+    return decorate
+
+
+class TestJsonNumberText:
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @_with_examples(_NUMBER_EDGES)
+    def test_float_cell_is_the_repr_of_its_nine_digit_rounding(self, value):
+        assert _json_cells([value]) == [repr(float(f"{value:.9g}"))]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["row", "constant"])
+    def test_non_finite_cell_after_finite_ones_raises_and_writes_nothing(
+        self, bad, where, tmp_path
+    ):
+        # The non-finite cell sits last, after cells that the rule keeps as
+        # they are and cells that it fixes up.
+        thetas = [*_NUMBER_EDGES, bad] if where == "row" else _NUMBER_EDGES
+        rows = [(t, PolicyRegion.INTERVENE, 0.5, 1.0, Verdict.EQUAL) for t in thetas]
+        welfare = bad if where == "constant" else 0.25
+        out = tmp_path / "out.json"
+        with pytest.raises(DomainError, match="^result is not finite"):
+            _emit_rows("compare", rows, "json", str(out), sigma=3.0, rbar=0.2, rprime=0.8,
+                       welfare=welfare, rprime_hi=0.9)
+        assert not out.exists()
 
 
 # Cell strategies of one type each: a table column holds cells of one type.

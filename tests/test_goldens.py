@@ -7,8 +7,11 @@ came to share one noise panel per replication, and the iterated-solver
 outputs from the solver with a fixed iteration budget, before it derived
 its own, the JSON edge cases from the encoder that built one dict per
 row and passed the list to json.dumps(indent=2), before JSON tables came
-to be filled from one row template, and the slice-crossing sweep from the
-sweep evaluated in the CLI, before statics.sweep came to yield its slices.
+to be filled from one row template, the slice-crossing sweep from the
+sweep evaluated in the CLI, before statics.sweep came to yield its slices,
+and the JSON number goldens from the encoder that ran every float cell
+through format, parse and repr, before the .9g text came to be kept where it
+already is that repr.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -126,6 +129,23 @@ GOLDENS = {
         ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "",
          "--theta", "0:1:0.5", "--format", "json"],
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 3,
+    ),
+    # One golden per branch of the JSON float cell rule, where the .9g text
+    # either is the cell or is fixed up: exponent cells that print as
+    # 1550000000000.0, exponent cells beside the solver string constant, and
+    # 1e-05 cells, where .9g and the float repr agree, beside 0.0 cells.
+    "signaling-exponent-json": (
+        ["signaling", "--sigma", "1e12", "--rbar", "0.2", "--rprime", "0.8", "--format", "json"],
+        "4c78eff6d9e8033e3eb4b9dd0bc1cef86e0234d2f5ded77195d088214c5bfcab", 212,
+    ),
+    "continuation-exponent-json": (
+        ["continuation", "--sigma", "1e12", "--r", "0.25", "--format", "json"],
+        "55023d390c60880061b0c56dc2ddd043b6650f1dc032d2ec5eec4e4d37764cba", 125,
+    ),
+    "welfare-sweep-small-theta-json": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+         "--theta", "0:0.00005:0.00001", "--format", "json"],
+        "8e8b4d87ee0dc5d87fe44a08a96c67501e96bf44efd4e39a19c419794904714b", 916,
     ),
     # 33,001 points per r_prime: three grid slices of statics.sweep, the
     # last one partial.
