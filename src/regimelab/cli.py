@@ -16,7 +16,9 @@ and elsewhere the shortest float repr of the rounded value, so 1e9 is
 1e+09 in CSV and 1000000000.0 in JSON.
 CSV uses a header row; both are UTF-8 with LF line endings and JSON is laid
 out as json.dumps(indent=2) lays it out. A verify max_error that is not
-finite is null in JSON and an empty CSV cell.
+finite is null in JSON and an empty CSV cell. Tables are written in blocks of
+at most 16,384 rows as they are formatted. --out is opened at the first write;
+an error after it removes the partial file if it is a regular one.
 Theta grids are written lo:hi:step, whose points never pass hi (hi itself
 is included when the span is a whole number of steps), or as a single
 number. Every number must be finite. A flat key=value file passed via
@@ -27,11 +29,11 @@ number. Every number must be finite. A flat key=value file passed via
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
+import os
+import stat
 import sys
-from enum import Enum
 from itertools import repeat, starmap
 from operator import attrgetter
 
@@ -42,7 +44,7 @@ from .model import ModelParams
 # reads cli.ex_post_welfare. Drop it when that probe moves to statics.
 from .signaling import ex_post_welfare, solve_signaling  # noqa: F401
 from .simulate import SimConfig, simulate_continuation, simulate_signaling
-from .statics import compare_welfare, sweep
+from .statics import _SWEEP_SLICE, compare_welfare, sweep
 from .verify import DEFAULT_RBAR_GRID, DEFAULT_SIGMA_GRID, run_verify
 
 _COLUMNS = {
@@ -226,19 +228,21 @@ def _json_cells(cells) -> list[str]:
             _json_number(text) if "." not in text or "e" in text else text
             for text in map("{:.9g}".format, cells)
         ]
-    if isinstance(first, Enum):
-        # Keyed by _value_, a plain instance attribute: the value property
-        # and Enum.__hash__ both run Python code per cell.
-        lookup = {member._value_: json.dumps(member._value_) for member in type(first)}
-        return list(map(lookup.__getitem__, map(attrgetter("_value_"), cells)))
+    if isinstance(first, str):
+        # A str column repeats a few values, such as region names: dump each once.
+        lookup = {cell: json.dumps(cell) for cell in set(cells)}
+        return list(map(lookup.__getitem__, cells))
     return list(map(json.dumps, cells))
 
 
 def _csv_field(cell) -> str:
-    """The CSV format field of a cell: 9 significant digits, an enum's value, else str."""
-    if isinstance(cell, float):
-        return "{:.9g}"
-    return "{._value_}" if isinstance(cell, Enum) else "{}"
+    """The CSV format field of a cell: 9 significant digits for a float, else str."""
+    return "{:.9g}" if isinstance(cell, float) else "{}"
+
+
+def _cells(array) -> list:
+    """A float array's cells, or the values (read from _value_) of an array of enum members."""
+    return list(map(attrgetter("_value_"), array)) if array.dtype == object else array.tolist()
 
 
 def _template_fields(columns: tuple[str, ...], constants: dict, encode, slots) -> list[str]:
@@ -249,51 +253,89 @@ def _template_fields(columns: tuple[str, ...], constants: dict, encode, slots) -
 
 
 def _json_text(columns: tuple[str, ...], rows: list[tuple], constants: dict, single: bool) -> str:
-    """A JSON array of one object per row, or the one row's object when single.
+    """The objects of rows in a JSON array, joined by commas, or the one row's object when single.
 
     The layout is json.dumps(indent=2)'s, from one template that the rows fill.
     """
-    if not rows:
-        return "[]\n"
     indent = "" if single else "  "
     fields = _template_fields(columns, constants, lambda v: _json_cells([v])[0], repeat("{}"))
     template = f"{indent}{{{{\n" + ",\n".join(
         f"{indent}  {json.dumps(col)}: {field}" for col, field in zip(columns, fields)
     ) + f"\n{indent}}}}}"
     objects = starmap(template.format, zip(*map(_json_cells, zip(*rows))))
-    if single:
-        return next(objects) + "\n"
-    return "[\n" + ",\n".join(objects) + "\n]\n"
+    return next(objects) + "\n" if single else ",\n".join(objects)
 
 
-def _emit_rows(command: str, rows: list[tuple], fmt: str, out: str | None, **constants) -> None:
-    """Write a table to out (stdout if None) from one row template per table.
+def _emit_rows(command: str, rows: list[tuple], fmt: str, out, lead: str, **constants) -> None:
+    """Format one block of a table and write it, after lead, to the open stream out.
 
-    constants are the cells every row shares, by column name, encoded once by
-    fmt's cell rule and baked into the template. Each row holds the other
-    cells in _COLUMNS order, with the cell types of the first row.
+    constants are the cells every row of the block shares, by column name,
+    encoded once by fmt's cell rule and baked into the block's template.
+    Each row holds the other cells in _COLUMNS order, with the cell types
+    of the first row. Nothing is written unless every cell encodes.
     """
     columns = _COLUMNS[command]
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        if rows:
-            fields = _template_fields(
-                columns, constants, lambda v: _csv_field(v).format(v), map(_csv_field, rows[0])
-            )
-            buf.writelines(starmap((",".join(fields) + "\n").format, rows))
-        text = buf.getvalue()
+        fields = _template_fields(
+            columns, constants, lambda v: _csv_field(v).format(v), map(_csv_field, rows[0])
+        )
+        body = "".join(starmap((",".join(fields) + "\n").format, rows))
     else:
-        text = _json_text(columns, rows, constants, command == "signaling" and len(rows) == 1)
-    _write_text(text, out)
+        body = _json_text(columns, rows, constants, False)
+    _write_text(lead + body, out)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_text(text: str, out) -> None:
+    out.write(text)
+
+
+class _Output:
+    """stdout, or the file at path: opened (so truncated) at the first write, and
+    removed if an error follows that write and it is a regular file, not a device or FIFO."""
+
+    def __init__(self, path: str | None):
+        self.path, self.fh = path, sys.stdout if path is None else None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8", newline="")
+        self.fh.write(text)
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, kind, error, tb) -> None:
+        if self.path is not None and self.fh is not None:
+            if kind is not None and stat.S_ISREG(os.fstat(self.fh.fileno()).st_mode):
+                os.remove(self.path)
+            self.fh.close()
+
+
+def _write_table(command: str, fmt: str, path: str | None, blocks, **constants) -> None:
+    """Write a table to path (stdout if None), each block as it arrives.
+
+    blocks yields (rows, own): non-empty rows for _emit_rows, and the
+    constants of that block alone, baked in beside the table's constants.
+    """
+    lead = ",".join(_COLUMNS[command]) + "\n" if fmt == "csv" else "[\n"
+    with _Output(path) as out:
+        for rows, own in blocks:
+            _emit_rows(command, rows, fmt, out, lead, **constants, **own)
+            lead = "" if fmt == "csv" else ",\n"
+        if fmt == "json":
+            _write_text("[]\n" if lead == "[\n" else "\n]\n", out)
+        elif lead:  # the header of a table without rows
+            _write_text(lead, out)
+
+
+def _write_record(command: str, row: tuple, fmt: str, path: str | None, **json_only) -> None:
+    """Write a one-row table: its CSV header and row, or its one JSON object."""
+    if fmt == "csv":
+        _write_table(command, "csv", path, [([row], {})])
+        return
+    text = _json_text((*_COLUMNS[command], *json_only), [row], json_only, True)
+    with _Output(path) as out:
+        _write_text(text, out)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +371,8 @@ def _cmd_continuation(opts: _Options) -> int:
         eq, _ = solve_iterated_dominance(params, r, tol)
     else:
         raise DomainError(f"unknown solver {solver!r}")
-    fmt = _format_from(opts)
-    out = opts.get("out")
     row = (params.sigma, r, eq.x_cutoff, eq.theta_cutoff)
-    if fmt == "json":
-        columns = (*_COLUMNS["continuation"], "solver")
-        _write_text(_json_text(columns, [row], {"solver": solver}, True), out)
-    else:
-        _emit_rows("continuation", [row], "csv", out)
+    _write_record("continuation", row, _format_from(opts), opts.get("out"), solver=solver)
     return 0
 
 
@@ -354,7 +390,7 @@ def _cmd_signaling(opts: _Options) -> int:
         eq.x_prime,
         eq.theta_no_attack,
     )
-    _emit_rows("signaling", [row], _format_from(opts), opts.get("out"))
+    _write_record("signaling", row, _format_from(opts), opts.get("out"))
     return 0
 
 
@@ -362,11 +398,12 @@ def _cmd_welfare_sweep(opts: _Options) -> int:
     params = _params_from(opts)
     r_primes = _parse_float_list(opts.require("rprime"), "rprime")
     thetas = _parse_theta_spec(opts.require("theta"))
-    rows = []
-    for r_prime, part, regions, attacks, welfares in sweep(params, r_primes, thetas):
-        rows += zip(repeat(r_prime), part, regions, attacks, welfares)
-    _emit_rows(
-        "welfare-sweep", rows, _format_from(opts), opts.get("out"),
+    blocks = (
+        (list(zip(part, _cells(regions), attacks, welfares)), {"rprime": r_prime})
+        for r_prime, part, regions, attacks, welfares in sweep(params, r_primes, thetas)
+    )
+    _write_table(
+        "welfare-sweep", _format_from(opts), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower,
     )
     return 0
@@ -378,19 +415,14 @@ def _cmd_compare(opts: _Options) -> int:
     r_high = _parse_float(opts.require("rprime_hi"), "rprime-hi")
     thetas = _parse_theta_spec(opts.require("theta"))
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
-    comparison = compare_welfare(params, r_low, r_high, thetas, tol)
-    rows = list(
-        zip(
-            thetas,
-            comparison.region_low.tolist(),
-            comparison.attack_low.tolist(),
-            comparison.u_low.tolist(),
-            comparison.u_high.tolist(),
-            comparison.verdicts.tolist(),
-        )
+    c = compare_welfare(params, r_low, r_high, thetas, tol)
+    columns = (c.theta_grid, c.region_low, c.attack_low, c.u_low, c.u_high, c.verdicts)
+    blocks = (
+        (list(zip(*(_cells(col[start : start + _SWEEP_SLICE]) for col in columns))), {})
+        for start in range(0, len(thetas), _SWEEP_SLICE)
     )
-    _emit_rows(
-        "compare", rows, _format_from(opts), opts.get("out"),
+    _write_table(
+        "compare", _format_from(opts), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower, rprime=r_low, rprime_hi=r_high,
     )
     return 0
@@ -436,8 +468,8 @@ def _cmd_simulate(opts: _Options) -> int:
             outcome.welfare_mean.tolist(),
         )
     )
-    _emit_rows(
-        "simulate", rows, _format_from(opts), opts.get("out"),
+    _write_table(
+        "simulate", _format_from(opts), opts.get("out"), [(rows, {})],
         sigma=params.sigma, rbar=params.r_lower, mode=mode, r=policy, x_cutoff=cutoff,
         n_agents=config.n_agents, n_reps=config.n_reps, seed=config.master_seed,
     )
@@ -454,20 +486,20 @@ def _cmd_verify(opts: _Options) -> int:
     grid = [ModelParams(s, rb) for s in sigmas for rb in rbars]
     report = run_verify(grid)
     fmt = _format_from(opts, default="json")
-    out = opts.get("out")
     if fmt == "csv":
         rows = [
             (res.name, str(res.passed).lower(), res.points,
              "" if res.max_error is None else f"{res.max_error:.9g}", res.tolerance)
             for res in report.results
         ]
-        _emit_rows("verify", rows, "csv", out)
+        _write_table("verify", "csv", opts.get("out"), [(rows, {})] if rows else [])
     else:
         try:
             text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
         except ValueError:
             raise DomainError(_NOT_FINITE)
-        _write_text(text, out)
+        with _Output(opts.get("out")) as out:
+            _write_text(text, out)
     if report.n_checks == 0:
         print("verify: 0 checks", file=sys.stderr)
         return 2

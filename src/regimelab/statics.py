@@ -164,11 +164,11 @@ def sweep(
     outer and theta inner: theta_slice is the next _SWEEP_SLICE points of
     thetas, regions an object array of PolicyRegion members, and attacks
     (after no intervention) and welfares lists of floats, all of its length.
-    Each r_prime is solved, and so checked, before its first slice. An empty
-    family yields nothing.
+    Every r_prime is solved, and so checked, before the first slice. An
+    empty family yields nothing.
     """
-    for r_prime in r_primes:
-        eq = solve_signaling(params, r_prime)
+    eqs = [solve_signaling(params, r_prime) for r_prime in r_primes]
+    for r_prime, eq in zip(r_primes, eqs):
         for start in range(0, len(thetas), _SWEEP_SLICE):
             part = thetas[start : start + _SWEEP_SLICE]
             grid = np.array(part)

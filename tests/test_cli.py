@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -29,7 +31,13 @@ from regimelab import (
     solve_iterated_dominance,
     solve_signaling,
 )
-from regimelab.cli import _COLUMNS, _emit_rows, _json_cells, _parse_theta_spec
+from regimelab.cli import (
+    _COLUMNS,
+    _json_cells,
+    _parse_theta_spec,
+    _write_record,
+    _write_table,
+)
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
 
@@ -252,6 +260,99 @@ class TestCompareCommand:
         assert all(
             float(r["welfare_hi"]) - float(r["welfare"]) <= 1e-9 for r in rows
         )
+
+
+_SLICED_SWEEP = ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--theta", "0:3.3:0.0001"]
+
+
+class TestStreamedTables:
+    """Tables are written a block of at most 16,384 rows at a time."""
+
+    @staticmethod
+    def peak(argv, out):
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_does_not_grow_with_the_rprime_count(self, fmt, tmp_path):
+        # 33,001 theta, three slices per r'. Building the whole table before
+        # writing it peaked at about 45 MiB with 6 r' against 10 MiB with 1 in
+        # CSV, and 135 against 23 MiB in JSON. Block by block, what stays is
+        # the theta grid and one block.
+        argv = [*_SLICED_SWEEP, "--format", fmt]
+        out = tmp_path / "out"
+        run([*argv, "--rprime", "0.8", "--out", str(out)])
+        one = self.peak([*argv, "--rprime", "0.8"], out)
+        six = self.peak([*argv, "--rprime", "0.3,0.5,0.8,1,1.2,1.4"], out)
+        assert six < 1.5 * one
+
+    def test_bad_later_rprime_writes_nothing(self, tmp_path, capsys):
+        # r' = 5 is past r_tilde; every r' is solved before the first block.
+        argv = [*_SLICED_SWEEP, "--rprime", "0.5,5"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @staticmethod
+    def fail_on_slice(monkeypatch, k):
+        """Make the sweep's welfare evaluation raise on its k-th slice; return the slice sizes."""
+        from regimelab import statics
+
+        calls = []
+        welfare = statics.ex_post_welfare
+
+        def welfare_failing_on_slice_k(params, eq, grid):
+            calls.append(len(grid))
+            if len(calls) == k:
+                raise DomainError(f"slice {k} refused")
+            return welfare(params, eq, grid)
+
+        monkeypatch.setattr(statics, "ex_post_welfare", welfare_failing_on_slice_k)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_error_after_the_first_block_leaves_no_file(self, fmt, tmp_path, monkeypatch):
+        calls = self.fail_on_slice(monkeypatch, 2)
+        out = tmp_path / "out"
+        out.write_text("an earlier table\n")
+        assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
+        assert calls == [16_384, 16_384]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_error_before_the_first_byte_leaves_an_existing_file(
+        self, fmt, tmp_path, monkeypatch
+    ):
+        # The file is opened at the first write, so it is neither truncated nor removed.
+        calls = self.fail_on_slice(monkeypatch, 1)
+        out = tmp_path / "out"
+        out.write_text("an earlier table\n")
+        assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
+        assert calls == [16_384]
+        assert out.read_text() == "an earlier table\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_error_after_the_first_block_leaves_a_fifo_in_place(self, tmp_path, monkeypatch):
+        # Only a regular file is removed: a FIFO, like a device, is not the table's to delete.
+        self.fail_on_slice(monkeypatch, 2)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--out", str(fifo)]) == 2
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received[0].startswith(b"sigma,rbar,rprime,theta,")
+        assert received[0].count(b"\n") == 1 + 16_384
 
 
 class TestSimulateCommand:
@@ -621,11 +722,27 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert "not finite" in captured.err
 
+    def test_non_finite_record_leaves_an_existing_out_file(self, tmp_path):
+        # The record is formatted before its file is opened.
+        out = tmp_path / "out.json"
+        out.write_text("an earlier record\n")
+        with pytest.raises(DomainError, match="^result is not finite"):
+            _write_record("continuation", (0.5, 0.25, math.nan, 0.75), "json", str(out),
+                          solver="closed-form")
+        assert out.read_text() == "an earlier record\n"
+
 
 def _compare_table(theta_cell, welfare):
     """Two compare rows in which theta_cell varies, and the constants with welfare among them."""
-    rows = [(theta, PolicyRegion.INTERVENE, 0.5, 1.0, Verdict.EQUAL) for theta in (theta_cell, 1.5)]
+    rows = [(theta, "intervene", 0.5, 1.0, "equal") for theta in (theta_cell, 1.5)]
     return rows, dict(sigma=3.0, rbar=0.2, rprime=0.8, welfare=welfare, rprime_hi=0.9)
+
+
+def _written(command, blocks, fmt, **constants) -> str:
+    """The text _write_table writes to stdout for blocks, a list of (rows, block constants)."""
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        _write_table(command, fmt, None, blocks, **constants)
+    return buf.getvalue()
 
 
 class TestJsonEncoder:
@@ -635,36 +752,51 @@ class TestJsonEncoder:
         rows, constants = _compare_table(*((bad, 0.25) if where == "varying" else (0.5, bad)))
         out = tmp_path / "out.json"
         with pytest.raises(DomainError, match="^result is not finite"):
-            _emit_rows("compare", rows, "json", str(out), **constants)
+            _write_table("compare", "json", str(out), [(rows, {})], **constants)
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["varying", "constant"])
+    def test_non_finite_cell_raises_before_its_block_is_written(self, bad, where):
+        # The second block holds the bad cell, as a row cell or as a constant
+        # of that block alone; the first block is written whole, and nothing after it.
+        rows, constants = _compare_table(0.5, 0.25)
+        welfare = constants.pop("welfare")
+        bad_rows = _compare_table(bad, 0.25)[0] if where == "varying" else rows
+        first = (rows, {"welfare": welfare})
+        second = (bad_rows, {"welfare": bad if where == "constant" else welfare})
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            with pytest.raises(DomainError, match="^result is not finite"):
+                _write_table("compare", "json", None, [first, second], **constants)
+        whole_first = _written("compare", [first], "json", **constants)
+        assert whole_first.endswith("\n]\n")
+        assert buf.getvalue() == whole_first[: -len("\n]\n")]
 
     @pytest.mark.parametrize(
         "value",
         [1e9, 123456789.0, 1e16, 1e-5, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.5],
     )
-    def test_float_cells_follow_the_nine_digit_rule(self, value, capsys):
+    def test_float_cells_follow_the_nine_digit_rule(self, value):
         # theta is a row cell, welfare a declared constant baked into the template.
         rows, constants = _compare_table(value, value)
-        _emit_rows("compare", rows, "json", None, **constants)
-        text = capsys.readouterr().out
+        text = _written("compare", [(rows, {})], "json", **constants)
         first = text.splitlines()[2 : 2 + len(_COLUMNS["compare"])]
         cells = dict(line.strip().rstrip(",").split(": ") for line in first)
         expected = json.dumps(float(f"{value:.9g}"))
         assert cells['"theta"'] == cells['"welfare"'] == expected
         assert text.count(f'"welfare": {expected},') == 2
 
-        _emit_rows("compare", rows, "csv", None, **constants)
-        first_row = capsys.readouterr().out.splitlines()[1].split(",")
+        text = _written("compare", [(rows, {})], "csv", **constants)
+        first_row = text.splitlines()[1].split(",")
         assert first_row[3] == first_row[6] == f"{value:.9g}"
 
-    def test_equal_cells_of_distinct_sign_stay_distinct(self, capsys):
+    def test_equal_cells_of_distinct_sign_stay_distinct(self):
         # 0.0 == -0.0, yet each row cell is encoded on its own, so both signs
         # are written; only a declared constant is encoded once.
         rows, constants = _compare_table(0.5, 0.0)
         welfare = constants.pop("welfare")
         rows = [row[:3] + (cell,) + row[3:] for row, cell in zip(rows, (welfare, -0.0))]
-        _emit_rows("compare", rows, "json", None, **constants)
-        text = capsys.readouterr().out
+        text = _written("compare", [(rows, {})], "json", **constants)
         assert '"welfare": 0.0,' in text and '"welfare": -0.0,' in text
 
 
@@ -710,28 +842,28 @@ class TestJsonNumberText:
         # The non-finite cell sits last, after cells that the rule keeps as
         # they are and cells that it fixes up.
         thetas = [*_NUMBER_EDGES, bad] if where == "row" else _NUMBER_EDGES
-        rows = [(t, PolicyRegion.INTERVENE, 0.5, 1.0, Verdict.EQUAL) for t in thetas]
+        rows = [(t, "intervene", 0.5, 1.0, "equal") for t in thetas]
         welfare = bad if where == "constant" else 0.25
         out = tmp_path / "out.json"
         with pytest.raises(DomainError, match="^result is not finite"):
-            _emit_rows("compare", rows, "json", str(out), sigma=3.0, rbar=0.2, rprime=0.8,
-                       welfare=welfare, rprime_hi=0.9)
+            _write_table("compare", "json", str(out), [(rows, {})], sigma=3.0, rbar=0.2,
+                         rprime=0.8, welfare=welfare, rprime_hi=0.9)
         assert not out.exists()
 
 
 # Cell strategies of one type each: a table column holds cells of one type.
+# Regions and verdicts reach a table as their values, which are strs.
 _CELLS = (
     st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e9, 5e-324]),
     st.text(),
     st.integers(-(2**63), 2**64 - 1),
-    st.sampled_from(PolicyRegion),
-    st.sampled_from(Verdict),
+    st.sampled_from([member.value for member in (*PolicyRegion, *Verdict)]),
 )
 
 
 @st.composite
 def _tables(draw):
-    """A command, its full rows, and the columns to declare constant (not all)."""
+    """A command, its full rows, the columns to declare constant (not all), and a row cut."""
     command = draw(st.sampled_from(["welfare-sweep", "compare", "simulate"]))
     columns = _COLUMNS[command]
     kinds = [draw(st.sampled_from(_CELLS)) for _ in columns]
@@ -744,13 +876,8 @@ def _tables(draw):
         tuple(cell if fixed else draw(kind) for cell, fixed, kind in zip(first, constant, kinds))
         for _ in range(draw(st.integers(0, 3)))
     ]
-    return command, rows, {col for col, fixed in zip(columns, constant) if fixed}
-
-
-def _emitted(command, rows, fmt, **constants) -> str:
-    with contextlib.redirect_stdout(io.StringIO()) as buf:
-        _emit_rows(command, rows, fmt, None, **constants)
-    return buf.getvalue()
+    constant_columns = {col for col, fixed in zip(columns, constant) if fixed}
+    return command, rows, constant_columns, draw(st.integers(0, len(rows)))
 
 
 _SIMULATE_ROW = (
@@ -762,21 +889,25 @@ _SIMULATE_ROW = (
 @settings(max_examples=150, deadline=None)
 @given(table=_tables())
 @example(table=("simulate", [_SIMULATE_ROW, _SIMULATE_ROW[:5] + (0.75,) + _SIMULATE_ROW[6:]],
-                {"sigma", "rbar", "mode", "r", "x_cutoff", "n_agents", "n_reps", "seed"}))
+                {"sigma", "rbar", "mode", "r", "x_cutoff", "n_agents", "n_reps", "seed"}, 1))
 @example(table=("welfare-sweep",
-                [(-0.0, 1e9, 5e-324, t, PolicyRegion.ABANDON, 0.0, -t) for t in (0.5, 1.5)],
-                {"sigma", "rbar"}))
+                [(-0.0, 1e9, 5e-324, t, "abandon", 0.0, -t) for t in (0.5, 1.5)],
+                {"sigma", "rbar"}, 1))
 @example(table=("compare",
-                [(-0.0, 1e9, 5e-324, t, PolicyRegion.INTERVENE, 0.5, t, 2**63, 1.0, Verdict.EQUAL)
+                [(-0.0, 1e9, 5e-324, t, "intervene", 0.5, t, 2**63, 1.0, "equal")
                  for t in (0.5, 1.5)],
-                {"sigma", "rbar", "rprime", "rprime_hi"}))
+                {"sigma", "rbar", "rprime", "rprime_hi"}, 2))
 def test_declared_constants_write_the_bytes_of_full_rows(fmt, table):
-    command, full_rows, constant_columns = table
+    command, full_rows, constant_columns, cut = table
     columns = _COLUMNS[command]
     varying = [i for i, col in enumerate(columns) if col not in constant_columns]
     rows = [tuple(row[i] for i in varying) for row in full_rows]
     constants = {col: full_rows[0][columns.index(col)] for col in constant_columns}
-    assert _emitted(command, rows, fmt, **constants) == _emitted(command, full_rows, fmt)
+    whole = _written(command, [(full_rows, {})], fmt)
+    assert _written(command, [(rows, {})], fmt, **constants) == whole
+    # Cut into blocks, each baking the constants as its own: the same bytes.
+    blocks = [(part, constants) for part in (rows[:cut], rows[cut:]) if part]
+    assert _written(command, blocks, fmt) == whole
 
 
 class TestOverflowingThresholds:

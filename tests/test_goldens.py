@@ -9,9 +9,12 @@ its own, the JSON edge cases from the encoder that built one dict per
 row and passed the list to json.dumps(indent=2), before JSON tables came
 to be filled from one row template, the slice-crossing sweep from the
 sweep evaluated in the CLI, before statics.sweep came to yield its slices,
-and the JSON number goldens from the encoder that ran every float cell
+the JSON number goldens from the encoder that ran every float cell
 through format, parse and repr, before the .9g text came to be kept where it
-already is that repr.
+already is that repr, and the multi-slice JSON sweep, the slice-crossing
+compare tables and the two benchmark workloads from the writer that built
+the whole table before writing it, before tables came to be written block
+by block.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -148,11 +151,38 @@ GOLDENS = {
         "8e8b4d87ee0dc5d87fe44a08a96c67501e96bf44efd4e39a19c419794904714b", 916,
     ),
     # 33,001 points per r_prime: three grid slices of statics.sweep, the
-    # last one partial.
+    # last one partial, in both formats.
     "welfare-sweep-slices-csv": (
         ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8",
          "--theta", "0:3.3:0.0001"],
         "d2eb4ff6fe41956d5b44090a4d6b04fcda7dd68779b36b39d67280a4aff74344", 2905723,
+    ),
+    "welfare-sweep-slices-json": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8",
+         "--theta", "0:3.3:0.0001", "--format", "json"],
+        "1b60cff5808136fdc6a21abd018a64c20f51a0c7f2d084aed041d088e0a9b1ad", 10434438,
+    ),
+    # The compare table over the same three slices, in both formats.
+    "compare-slices-csv": (
+        ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+         "--theta", "0:3.3:0.0001"],
+        "9e23df8ac3e8431d5337a061fc4574b0291106023a2015400c30b91bc23ab60d", 2524034,
+    ),
+    "compare-slices-json": (
+        ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+         "--theta", "0:3.3:0.0001", "--format", "json"],
+        "71487f91e4673393840a63fbf552881c06550dfdebde6e2077c76098d5ae9119", 8109653,
+    ),
+    # The argv of the sweep-dense and compare-json benchmark workloads.
+    "sweep-dense-csv": (
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
+         "--theta", "0:7:0.0001"],
+        "5098f4fb3943d6e7aed989c5c35ff156bd8a4d20bbd1c03ece8ea8f1841b2e07", 9275427,
+    ),
+    "compare-dense-json": (
+        ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+         "--theta", "0:7:0.0001", "--format", "json"],
+        "e712f1238791bc3ac0d965fd378c1665f4e115a1abd6a2c339391f35246971c5", 17196323,
     ),
 }
 

@@ -265,6 +265,12 @@ class TestSweep:
     def test_empty_family_list(self):
         assert list(sweep(HALF, [], [0.0, 1.0])) == []
 
+    def test_every_rprime_is_refused_before_the_first_slice(self):
+        # r' = 5 lies past r_tilde: refused before any slice of r' = 0.5 is yielded.
+        slices = sweep(WIDE, [0.5, 5.0], [0.0, 1.0])
+        with pytest.raises(DomainError):
+            next(slices)
+
     def test_row_ordering(self):
         rows = _sweep_table(WIDE, [0.5, 0.8], [0.0, 0.5, 1.0])
         assert [row[:2] for row in rows] == [
