@@ -298,7 +298,10 @@ class _Output:
 
     def write(self, text: str) -> None:
         if self.fh is None:
-            self.fh = open(self.path, "w", encoding="utf-8", newline="")
+            try:
+                self.fh = open(self.path, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise DomainError(f"cannot write {self.path}: {exc.strerror}")
         self.fh.write(text)
 
     def __enter__(self) -> _Output:

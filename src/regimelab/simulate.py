@@ -11,12 +11,13 @@ suite checks.
 Replications are seeded independently: a counter-based mix (splitmix64) of
 the master seed, a stream tag, and the replication index yields each
 sub-seed, so results are bit-identical across runs. Each replication draws
-one noise panel, shared by every theta of a grid (common random numbers),
-and sorts it in place. Rounding is monotone, so at every theta the agents
-who attack form a prefix of the sorted panel, and one vectorised bisection
-finds each prefix's length: a replication costs one draw, one sort and
-O(len(theta) * log n_agents) counting, and gives the counts that comparing
-every signal with the cutoff gives, bit for bit.
+one noise stream, shared by every theta of a grid (common random numbers).
+Rounding is monotone, so fl(theta + eps) <= x_cutoff holds exactly when eps
+is at or below theta's threshold, found once per run by bisection over the
+doubles of the support [-sigma, sigma]. A theta where all of the support
+attacks or none of it does is counted without a draw; the others are
+counted against each replication's draws as they arrive, _CHUNK at a time.
+The counts are those that comparing every signal with the cutoff gives.
 
 A run fills one (theta, replication) matrix of attack fractions, theta-major,
 and reduces it row by row into one SimOutcome: float fields for a scalar
@@ -42,9 +43,15 @@ _STREAM_BEST_RESPONSE = 1
 # 99.5th percentile of the standard normal: 99% two-sided half-width.
 _Z99 = 2.5758293035489004
 
-# A replication holds 8 bytes per agent (the panel, sorted in place), so the
-# bound is 800 MB: 100 times the 1e6 agents of the largest benchmark run.
+# 100 times the 1e6 agents of the largest benchmark run. finite_best_response
+# still sorts a whole panel, 8 bytes per agent: 800 MB at the bound.
 _MAX_AGENTS = 100_000_000
+
+# Draws per uniform call: 1 MiB of doubles, which stays in cache across the
+# passes over it. A sort spends about log2(_CHUNK) comparisons per draw, so
+# up to that many thresholds are counted by one comparison pass each.
+_CHUNK = 1 << 17
+_PASSES = _CHUNK.bit_length() - 1
 
 # A (theta, replication) cell holds 8 bytes in the attack-fraction matrix and
 # about 27 at the peak of scoring and aggregating it, so the bound is about
@@ -112,28 +119,51 @@ def _sorted_panel(params: ModelParams, config: SimConfig, stream: int, index: in
     return eps
 
 
-def _attack_counts(sorted_eps: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np.ndarray:
-    """For each theta, the number of eps in the sorted panel with fl(theta + eps) <= x_cutoff.
+def _flip(bits: np.ndarray) -> np.ndarray:
+    """Map float64 bit patterns (as int64) to keys in the doubles' order, and back."""
+    return np.where(bits < 0, bits ^ 0x7FFFFFFFFFFFFFFF, bits)
 
-    Rounding to nearest is monotone, so fl(theta + eps) does not decrease as
-    eps grows and the eps that satisfy the predicate form a prefix of the
-    panel. A lower-bound bisection over [0, n] finds every prefix's length
-    at once, evaluating the exact predicate at each probe, in
-    n.bit_length() = ceil(log2(n + 1)) rounds.
+
+def _thresholds(thetas: np.ndarray, x_cutoff: float, low: float, high: float) -> np.ndarray:
+    """For each theta, the largest eps in [low, high] with fl(theta + eps) <= x_cutoff:
+    high where eps = high attacks, NaN where eps = low does not (NaN input included).
+
+    The rest come from one bisection over the doubles' int64 keys, in at most
+    64 rounds; its midpoint and loop test cannot overflow, as hi - lo can.
     """
-    n = sorted_eps.size
-    step = 1 << (n.bit_length() - 1)  # the largest power of two <= n
-    # last indexes the last eps known to attack (-1 for none), and the count
-    # lies in [last + 1, last + step]. The first probe asks whether the first
-    # step attack: if so the count lies in [step, n], and last = n - step
-    # (< step, since n < 2 * step) leaves the same window as a miss does.
-    # Every later probe halves the window, so none reaches past n - 1.
-    last = np.where(thetas + sorted_eps[step - 1] <= x_cutoff, n - step, -1)
-    while step > 1:
-        step >>= 1
-        probe = last + step
-        last = np.where(thetas + sorted_eps[probe] <= x_cutoff, probe, last)
-    return last + 1
+    t = np.where(thetas + high <= x_cutoff, high, np.nan)
+    inner = np.flatnonzero((thetas + low <= x_cutoff) & np.isnan(t))
+    th = thetas[inner]
+    lo = np.full(inner.size, _flip(np.array(low).view(np.int64)))
+    hi = np.full(inner.size, _flip(np.array(high).view(np.int64)))
+    while np.any(lo < hi - 1):
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        attack = th + _flip(mid).view(np.float64) <= x_cutoff
+        lo = np.where(attack, mid, lo)
+        hi = np.where(attack, hi, mid)
+    t[inner] = _flip(lo).view(np.float64)
+    return t
+
+
+def _count_at_most(eps: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each threshold, the count of eps at or below it.
+
+    A pass per threshold, or past _PASSES thresholds one in-place sort of eps.
+    """
+    if t.size <= _PASSES:
+        return np.array([np.count_nonzero(eps <= v) for v in t.tolist()], dtype=np.int64)
+    eps.sort()
+    return np.searchsorted(eps, t, side="right")
+
+
+def _attack_counts(panel: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np.ndarray:
+    """For each theta, how many eps of the panel (in any order) give fl(theta + eps) <= x_cutoff."""
+    high = panel.max()
+    t = _thresholds(thetas, x_cutoff, panel.min(), high)
+    counts = np.where(t == high, panel.size, 0)
+    inner = t < high
+    counts[inner] = _count_at_most(panel.copy(), t[inner])
+    return counts
 
 
 def _attack_fractions(
@@ -141,20 +171,27 @@ def _attack_fractions(
 ) -> np.ndarray:
     """The (theta, replication) matrix of sample attack fractions.
 
-    Each replication draws one noise panel, sorts it in place, and counts
-    for every theta at once the signals fl(theta + eps) at or below
-    x_cutoff (_attack_counts). The panel lives only for its own count, so
-    one panel is held at a time. An empty grid draws nothing.
+    Each replication draws its n_agents through uniform calls of at most
+    _CHUNK draws, which continue one stream bit for bit, and counts each
+    chunk against every threshold inside the support. Nothing is drawn when
+    no threshold is, as for an empty grid.
     """
     alphas = _fraction_matrix(thetas.size, config)
     if not thetas.size:
         return alphas
-    if not math.isfinite(2.0 * params.sigma):
-        raise DomainError(f"noise width 2*sigma overflows at sigma = {params.sigma:g}")
-    for k in range(config.n_reps):
-        alphas[:, k] = _attack_counts(
-            _sorted_panel(params, config, _STREAM_REPS, k), thetas, x_cutoff
-        )
+    sigma = params.sigma
+    if not math.isfinite(2.0 * sigma):
+        raise DomainError(f"noise width 2*sigma overflows at sigma = {sigma:g}")
+    t = _thresholds(thetas, x_cutoff, -sigma, sigma)
+    alphas[t == sigma] = config.n_agents
+    inner = np.flatnonzero(t < sigma)
+    inner = inner[np.argsort(t[inner])]  # ascending keys let searchsorted reuse its last bound
+    t = t[inner]
+    for k in range(config.n_reps if inner.size else 0):
+        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+        for start in range(0, config.n_agents, _CHUNK):
+            m = min(_CHUNK, config.n_agents - start)
+            alphas[inner, k] += _count_at_most(rng.uniform(-sigma, sigma, m), t)
     alphas /= config.n_agents
     return alphas
 

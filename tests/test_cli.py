@@ -354,6 +354,27 @@ class TestStreamedTables:
         assert received[0].startswith(b"sigma,rbar,rprime,theta,")
         assert received[0].count(b"\n") == 1 + 16_384
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["continuation", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25"],
+            ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+             "--theta", "0:1:0.5"],
+            ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25", "--theta", "1",
+             "--agents", "10", "--reps", "2"],
+            ["verify", "--sigma", "0.5", "--rbar", "0.2", "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_path_that_cannot_be_opened_exits_2_on_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.parent.exists()
+
 
 class TestSimulateCommand:
     def test_continuation_mode_row(self, capsys):

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import warnings
 
 import pytest
@@ -76,3 +77,22 @@ def test_every_extreme_parameter_point_keeps_the_contract(command, fmt):
         for line in _broken_promises(_argv(command, sigma, rbar), fmt)
     ]
     assert broken == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["continuation", "continuation-iterated", "signaling", "welfare-sweep", "compare",
+     "simulate", "verify"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_run_writes_nothing_to_fd_1(command, fmt, tmp_path, capfd):
+    # A run inside a host process (a benchmark driver, a notebook) must leave
+    # that process's stdout alone: nothing written to fd 1, directly or by a
+    # stream that flushes later, and sys.stdout the same open object.
+    stdout = sys.stdout
+    out = tmp_path / "out"
+    assert run([*_argv(command, "0.5", "0.2"), "--format", fmt, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+    assert sys.stdout is stdout and not stdout.closed
+    stdout.flush()
+    assert capfd.readouterr().out == ""

@@ -1,6 +1,7 @@
 """Finite-agent Monte Carlo against the continuum quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,15 @@ from regimelab import (
 )
 from regimelab.model import cost
 from regimelab.simulate import (
+    _CHUNK,
+    _PASSES,
     _STREAM_BEST_RESPONSE,
     _STREAM_REPS,
     _attack_counts,
+    _attack_fractions,
     _sorted_panel,
     _sub_seed,
+    _thresholds,
 )
 
 HALF = ModelParams(sigma=0.5, r_lower=0.2)
@@ -324,6 +329,116 @@ class TestAttackCounts:
         eps = panel(0.5, 10)
         assert _attack_counts(eps, np.array([math.nan, 0.0]), 1.0).tolist() == [0, 10]
         assert _attack_counts(eps, np.array([0.0]), math.nan).tolist() == [0]
+
+
+class TestThresholds:
+    """The exact thresholds behind _attack_counts, on panels in any order."""
+
+    @pytest.mark.parametrize("sigma", [1e-10, 0.5, 1.5, 3.0, 1e8])
+    @pytest.mark.parametrize("x_cutoff", [1.0, 0.0, 1e6])
+    def test_unsorted_panels(self, sigma, x_cutoff):
+        rng = np.random.default_rng(17)
+        eps = rng.uniform(-sigma, sigma, 300)
+        thetas = np.concatenate([tie_thetas(eps[:40], x_cutoff),
+                                 x_cutoff + np.linspace(-2 * sigma, 2 * sigma, 101)])
+        before = eps.copy()
+        assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+                              brute_counts(eps, thetas, x_cutoff))
+        assert np.array_equal(eps, before)  # the caller's panel is left in its order
+
+    def test_rounding_regime(self):
+        # ulp(1e6) = 1.16e-10 > sigma: every fl(theta + eps) is one of three
+        # doubles, so the share that attacks is far off the ramp, and exact.
+        eps = np.random.default_rng(5).uniform(-1e-10, 1e-10, 1000)
+        thetas = np.array(_around(1e6, 1e6 - 1e-10, 1e6 + 1e-10))
+        got = _attack_counts(eps, thetas, 1e6)
+        assert np.array_equal(got, brute_counts(eps, thetas, 1e6))
+        assert 0 < got[1] < eps.size
+
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 1e3, 1e300])
+    def test_brackets_spanning_zero_where_the_key_difference_overflows(self, sigma):
+        # The keys of -sigma and sigma are -1 - b and b, with b the bits of
+        # sigma, so hi - lo = 2b + 1 passes the int64 range from sigma = 2 on.
+        b = int(np.array(sigma).view(np.int64))
+        assert (2 * b + 1 > 2**63 - 1) == (sigma >= 2.0)
+        eps = np.concatenate([panel(sigma, 200, seed=2), [-sigma, 0.0, -0.0, sigma]])
+        np.random.default_rng(0).shuffle(eps)
+        thetas = np.concatenate([tie_thetas(eps, 0.25), [-2 * sigma, 0.25, 2 * sigma]])
+        assert np.array_equal(_attack_counts(eps, thetas, 0.25),
+                              brute_counts(eps, thetas, 0.25))
+        # 0.25 + 2^-55 ties halfway to the next double and rounds to even, 0.25.
+        assert _thresholds(np.array([0.25]), 0.25, -sigma, sigma)[0] == 2.0**-55
+
+    @pytest.mark.parametrize("sigma", [1e-10, 0.5, 3.0, 1e15])
+    def test_each_threshold_is_the_last_attacking_double(self, sigma):
+        x_cutoff = 1.0 + sigma / 3
+        thetas = x_cutoff + np.linspace(-1.5 * sigma, 1.5 * sigma, 61)
+        t = _thresholds(thetas, x_cutoff, -sigma, sigma)
+        inner = t < sigma
+        assert np.all(thetas[inner] + t[inner] <= x_cutoff)
+        assert np.all(thetas[inner] + np.nextafter(t[inner], math.inf) > x_cutoff)
+        assert np.all(thetas[t == sigma] + sigma <= x_cutoff)
+        assert np.all(~(thetas[np.isnan(t)] - sigma <= x_cutoff))
+        assert inner.any() and (t == sigma).any() and np.isnan(t).any()
+
+    def test_nan_counts_nowhere(self):
+        t = _thresholds(np.array([math.nan, -math.inf, math.inf, 0.0]), 1.0, -0.5, 0.5)
+        assert t[1] == 0.5 and np.isnan(t[[0, 2]]).all() and t[3] == 0.5
+        assert np.isnan(_thresholds(np.array([0.0, 1.0]), math.nan, -0.5, 0.5)).all()
+
+
+def ref_attack_fractions(params, thetas, x_cutoff, config):
+    """Each replication's whole panel in one uniform call, every signal compared."""
+    alphas = np.zeros((thetas.size, config.n_reps))
+    for k in range(config.n_reps):
+        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+        eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
+        for i, theta in enumerate(thetas):
+            alphas[i, k] = np.count_nonzero(theta + eps <= x_cutoff)
+    return alphas / config.n_agents
+
+
+class TestChunkedDraws:
+    def test_chunks_continue_the_whole_panel_stream(self):
+        n = 2 * _CHUNK + 3
+        whole = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0)).uniform(-0.5, 0.5, n)
+        rng = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0))
+        chunks = [rng.uniform(-0.5, 0.5, min(_CHUNK, n - s)) for s in range(0, n, _CHUNK)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    @pytest.mark.parametrize("n_agents", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("passed", [_PASSES, _PASSES + 1])
+    def test_matches_the_whole_panel(self, n_agents, passed):
+        # passed thetas lie strictly inside the ramp; with them go thetas that
+        # count every agent or none, and a NaN, which are not drawn for.
+        config = SimConfig(n_agents=n_agents, n_reps=2, master_seed=n_agents)
+        x_cutoff = 1.0
+        inner = np.linspace(0.55, 1.45, passed)
+        thetas = np.concatenate([[0.0, 0.5, math.nan], inner, [1.6, 3.0]])
+        got = _attack_fractions(HALF, thetas, x_cutoff, config)
+        assert np.array_equal(got, ref_attack_fractions(HALF, thetas, x_cutoff, config))
+        t = _thresholds(thetas, x_cutoff, -HALF.sigma, HALF.sigma)
+        assert np.count_nonzero(t < HALF.sigma) == passed
+        assert got[[0, 1]].tolist() == [[1.0, 1.0]] * 2
+        assert got[[2, -2, -1]].tolist() == [[0.0, 0.0]] * 3
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n_thetas", [21, 201])
+    def test_peak_holds_one_chunk_not_the_panel(self, n_thetas):
+        # A replication holds one 1 MiB chunk and a pass's 128 KiB mask; a
+        # whole 8 MB panel per replication fails this. A small run first
+        # loads what numpy loads lazily, which is no part of the peak.
+        grid = np.linspace(0.0, 1.0, n_thetas).tolist()
+        simulate_continuation(HALF, 0.25, grid, 1.0, SimConfig(10, 2, 1))
+        config = SimConfig(1_000_000, 2, 1)
+        tracemalloc.start()
+        try:
+            simulate_continuation(HALF, 0.25, grid, 1.0, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestCalibratedAttackMass:
