@@ -38,13 +38,13 @@ from .signaling import (
 from .simulate import (
     SimConfig,
     SimOutcome,
-    finite_best_response,
     simulate_continuation,
     simulate_signaling,
 )
 from .statics import (
     Verdict,
     WelfareComparison,
+    compare_slices,
     compare_welfare,
     critical_sigma,
     lower_threshold_sensitivity,
@@ -76,11 +76,11 @@ __all__ = [
     "best_response_cutoff",
     "classify_region",
     "closed_form_thresholds",
+    "compare_slices",
     "compare_welfare",
     "cost",
     "critical_sigma",
     "ex_post_welfare",
-    "finite_best_response",
     "iterated_cutoffs",
     "lower_threshold_sensitivity",
     "max_policy",

@@ -44,7 +44,7 @@ from .model import ModelParams
 # reads cli.ex_post_welfare. Drop it when that probe moves to statics.
 from .signaling import ex_post_welfare, solve_signaling  # noqa: F401
 from .simulate import SimConfig, simulate_continuation, simulate_signaling
-from .statics import _SWEEP_SLICE, compare_welfare, sweep
+from .statics import compare_slices, sweep
 from .verify import DEFAULT_RBAR_GRID, DEFAULT_SIGMA_GRID, run_verify
 
 _COLUMNS = {
@@ -418,11 +418,9 @@ def _cmd_compare(opts: _Options) -> int:
     r_high = _parse_float(opts.require("rprime_hi"), "rprime-hi")
     thetas = _parse_theta_spec(opts.require("theta"))
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
-    c = compare_welfare(params, r_low, r_high, thetas, tol)
-    columns = (c.theta_grid, c.region_low, c.attack_low, c.u_low, c.u_high, c.verdicts)
     blocks = (
-        (list(zip(*(_cells(col[start : start + _SWEEP_SLICE]) for col in columns))), {})
-        for start in range(0, len(thetas), _SWEEP_SLICE)
+        (list(zip(*map(_cells, cols))), {})
+        for cols in compare_slices(params, r_low, r_high, thetas, tol)
     )
     _write_table(
         "compare", _format_from(opts), opts.get("out"), blocks,
@@ -486,6 +484,8 @@ def _cmd_verify(opts: _Options) -> int:
     rbars = _parse_float_list(
         opts.get("rbar", ",".join(str(r) for r in DEFAULT_RBAR_GRID)), "rbar"
     )
+    if not sigmas or not rbars:
+        raise DomainError("verify needs at least one sigma and one rbar")
     grid = [ModelParams(s, rb) for s in sigmas for rb in rbars]
     report = run_verify(grid)
     fmt = _format_from(opts, default="json")
@@ -503,9 +503,6 @@ def _cmd_verify(opts: _Options) -> int:
             raise DomainError(_NOT_FINITE)
         with _Output(opts.get("out")) as out:
             _write_text(text, out)
-    if report.n_checks == 0:
-        print("verify: 0 checks", file=sys.stderr)
-        return 2
     if report.n_failed:
         names = ", ".join(report.failed_names)
         print(

@@ -32,19 +32,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .model import ModelParams, float_or_array, policymaker_payoff
 from .signaling import SignalingEquilibrium
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _STREAM_REPS = 0
-_STREAM_BEST_RESPONSE = 1
 
 # 99.5th percentile of the standard normal: 99% two-sided half-width.
 _Z99 = 2.5758293035489004
 
-# 100 times the 1e6 agents of the largest benchmark run. finite_best_response
-# still sorts a whole panel, 8 bytes per agent: 800 MB at the bound.
+# 100 times the 1e6 agents of the largest benchmark run. A replication holds
+# one _CHUNK of draws whatever n_agents is, so the bound is on time: 1e8
+# agents x 20 replications is 2e9 draws, about 10 s at 5 ns a draw.
 _MAX_AGENTS = 100_000_000
 
 # Draws per uniform call: 1 MiB of doubles, which stays in cache across the
@@ -109,14 +109,6 @@ def _fraction_matrix(n_thetas: int, config: SimConfig) -> np.ndarray:
             f"{_MAX_CELLS:,} simulated cells"
         )
     return np.zeros((n_thetas, config.n_reps))
-
-
-def _sorted_panel(params: ModelParams, config: SimConfig, stream: int, index: int) -> np.ndarray:
-    """One replication's noise panel: n_agents draws uniform on [-sigma, sigma], sorted in place."""
-    rng = np.random.default_rng(_sub_seed(config.master_seed, stream, index))
-    eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
-    eps.sort()
-    return eps
 
 
 def _flip(bits: np.ndarray) -> np.ndarray:
@@ -263,65 +255,3 @@ def simulate_signaling(
     alphas[~on_band] = _attack_fractions(params, thetas[~on_band], eq.x_prime, config)
     r = np.where(on_band, eq.r_prime, params.r_lower)[:, None]
     return _outcome(params, r, theta, alphas)
-
-
-def _empirical_fall_threshold(sorted_eps: np.ndarray, x_hat: float) -> float:
-    """Solve (sample attack mass at theta) = theta on [0,1] by bisection.
-
-    The sample attack mass is the empirical CDF of the noise panel at
-    x_hat - theta, a non-increasing step function of theta, so the gap
-    against theta is strictly decreasing and the crossing is unique.
-    """
-    n = len(sorted_eps)
-
-    def gap(theta: float) -> float:
-        count = float(np.searchsorted(sorted_eps, x_hat - theta, side="right"))
-        return count / n - theta
-
-    if gap(0.0) <= 0.0:
-        return 0.0
-    if gap(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def finite_best_response(
-    params: ModelParams,
-    r: float,
-    config: SimConfig,
-    iters: int,
-) -> float:
-    """Iterate the best-response cutoff on simulated attack masses.
-
-    Each step draws a fresh noise panel, finds the empirical fall threshold
-    for the current cutoff, and moves the cutoff to the signal at which
-    attacking breaks even. Steps settle into a band whose width shrinks
-    like 1/sqrt(n_agents); the iteration stops once a step lands inside it.
-
-    Raises ConvergenceError if the steps never settle within iters rounds.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("r must lie in [0,1]")
-    if iters < 1:
-        raise DomainError("iters must be at least 1")
-    settle = max(6.0 / math.sqrt(config.n_agents), 1e-8)
-    x_hat = 2.0 + params.sigma
-    for k in range(iters):
-        eps = _sorted_panel(params, config, _STREAM_BEST_RESPONSE, k)
-        theta_star = _empirical_fall_threshold(eps, x_hat)
-        x_next = theta_star + params.sigma * (1.0 - 2.0 * r)
-        step = abs(x_next - x_hat)
-        x_hat = x_next
-        if step <= settle:
-            return x_hat
-    raise ConvergenceError(
-        f"empirical best-response cutoff still moving {step:.3e} per "
-        f"iteration after {iters} rounds (settle band {settle:.3e})"
-    )

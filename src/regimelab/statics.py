@@ -119,7 +119,34 @@ def compare_welfare(
     """Tabulate welfare under r_low and r_high and issue a per-theta verdict.
 
     r_low == r_high is allowed (every verdict is then EQUAL); reversed
-    ordering is not. The grid must be non-empty and sorted ascending.
+    ordering is not. The grid must be non-empty and sorted ascending. The
+    fields are compare_slices' slices, concatenated.
+    """
+    theta, region_low, attack_low, u_low, u_high, verdicts = map(
+        np.concatenate, zip(*compare_slices(params, r_low, r_high, theta_grid, tol))
+    )
+    return WelfareComparison(theta, u_low, u_high, region_low, verdicts, attack_low)
+
+
+# Slices of the theta grid bound each numpy temporary to 128 KiB; whole-grid
+# temporaries of a dense sweep fragment the heap and raise its peak memory.
+_SWEEP_SLICE = 16_384
+
+
+def compare_slices(
+    params: ModelParams,
+    r_low: float,
+    r_high: float,
+    theta_grid: list[float],
+    tol: float = 1e-9,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """compare_welfare's table, a _SWEEP_SLICE run of theta_grid at a time.
+
+    Yields (theta, region_low, attack_low, u_low, u_high, verdicts) arrays
+    per slice, in the compare command's column order: region_low and
+    verdicts hold PolicyRegion and Verdict members in object arrays, the
+    rest are float arrays. The inputs are checked and both equilibria
+    solved before the first slice.
     """
     r_tilde = max_policy(params)
     if not params.r_lower < r_low <= r_high <= r_tilde:
@@ -137,22 +164,20 @@ def compare_welfare(
 
     eq_low = solve_signaling(params, r_low)
     eq_high = solve_signaling(params, r_high)
-    u_low = ex_post_welfare(params, eq_low, grid)
-    u_high = ex_post_welfare(params, eq_high, grid)
-    verdicts = np.select([u_high - u_low > tol, u_low - u_high > tol], [0, 1], 2)
-    return WelfareComparison(
-        theta_grid=grid,
-        u_low=u_low,
-        u_high=u_high,
-        region_low=classify_region(eq_low, grid),
-        verdicts=_VERDICTS[verdicts],
-        attack_low=aggregate_attack_no_intervention(params, eq_low, grid),
-    )
-
-
-# Slices of the theta grid bound each numpy temporary to 128 KiB; whole-grid
-# temporaries of a dense sweep fragment the heap and raise its peak memory.
-_SWEEP_SLICE = 16_384
+    for start in range(0, len(theta_grid), _SWEEP_SLICE):
+        # Rebinding grid frees the whole-grid array of the checks above.
+        grid = np.array(theta_grid[start : start + _SWEEP_SLICE], dtype=float)
+        u_low = ex_post_welfare(params, eq_low, grid)
+        u_high = ex_post_welfare(params, eq_high, grid)
+        verdicts = np.select([u_high - u_low > tol, u_low - u_high > tol], [0, 1], 2)
+        yield (
+            grid,
+            classify_region(eq_low, grid),
+            aggregate_attack_no_intervention(params, eq_low, grid),
+            u_low,
+            u_high,
+            _VERDICTS[verdicts],
+        )
 
 
 def sweep(

@@ -506,12 +506,12 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: {line}\n"
 
-    def test_empty_grid_exits_2(self, capsys):
-        code = run(["verify", "--sigma", ""])
-        assert code == 2
+    @pytest.mark.parametrize("flag", ["--sigma", "--rbar"])
+    def test_empty_grid_exits_2(self, flag, capsys):
+        assert run(["verify", flag, ""]) == 2
         captured = capsys.readouterr()
-        assert "0 checks" in captured.err
-        assert json.loads(captured.out)["n_checks"] == 0
+        assert captured.out == ""
+        assert captured.err == "error: verify needs at least one sigma and one rbar\n"
 
     def test_csv_format(self, capsys):
         code = run(["verify", "--sigma", "0.5", "--rbar", "0.2", "--format", "csv"])

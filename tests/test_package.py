@@ -14,11 +14,15 @@ DELETED = (
     "RepResult",
     "SigmaRegime",
     "SweepRow",
+    "_STREAM_BEST_RESPONSE",
     "_aggregate",
     "_checks",
+    "_empirical_fall_threshold",
+    "_sorted_panel",
     "agent_payoff",
     "continuation_welfare",
     "default_params_grid",
+    "finite_best_response",
     "policy_strategy",
     "sigma_regime",
     "validate_params",

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from regimelab import (
-    ConvergenceError,
     DomainError,
     ModelParams,
     SimConfig,
     attack_mass,
     closed_form_thresholds,
-    finite_best_response,
     simulate_continuation,
     simulate_signaling,
     solve_signaling,
@@ -22,11 +20,9 @@ from regimelab.model import cost
 from regimelab.simulate import (
     _CHUNK,
     _PASSES,
-    _STREAM_BEST_RESPONSE,
     _STREAM_REPS,
     _attack_counts,
     _attack_fractions,
-    _sorted_panel,
     _sub_seed,
     _thresholds,
 )
@@ -268,8 +264,10 @@ def brute_counts(sorted_eps, thetas, x_cutoff):
 
 
 def panel(sigma, n, seed=0):
-    return _sorted_panel(ModelParams(sigma=sigma, r_lower=0.2),
-                         SimConfig(n_agents=n, n_reps=1, master_seed=seed), _STREAM_REPS, 0)
+    """The first replication's n draws of the Monte Carlo's stream, sorted."""
+    eps = np.random.default_rng(_sub_seed(seed, _STREAM_REPS, 0)).uniform(-sigma, sigma, n)
+    eps.sort()
+    return eps
 
 
 def tie_thetas(sorted_eps, x_cutoff):
@@ -477,98 +475,3 @@ class TestCalibratedAttackMass:
         assert worst <= 1.0, worst
         # The grid crosses the whole ramp, so the test is not vacuous.
         assert np.count_nonzero((0.01 < p) & (p < 0.99)) > 4000
-
-
-# --- reference: finite_best_response as it drew its panels before it shared
-# the draw-and-sort helper of the Monte Carlo (np.sort of a fresh draw).
-
-
-def ref_fall_threshold(sorted_eps, x_hat):
-    n = len(sorted_eps)
-
-    def gap(theta):
-        return float(np.searchsorted(sorted_eps, x_hat - theta, side="right")) / n - theta
-
-    if gap(0.0) <= 0.0:
-        return 0.0
-    if gap(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def ref_finite_best_response(params, r, config, iters):
-    """The settled cutoff, or None where the steps never settle."""
-    settle = max(6.0 / math.sqrt(config.n_agents), 1e-8)
-    x_hat = 2.0 + params.sigma
-    for k in range(iters):
-        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_BEST_RESPONSE, k))
-        eps = np.sort(rng.uniform(-params.sigma, params.sigma, config.n_agents))
-        x_next = ref_fall_threshold(eps, x_hat) + params.sigma * (1.0 - 2.0 * r)
-        step = abs(x_next - x_hat)
-        x_hat = x_next
-        if step <= settle:
-            return x_hat
-    return None
-
-
-class TestFiniteBestResponse:
-    @pytest.mark.parametrize(
-        "params, r, n_agents, seed, iters",
-        [
-            (HALF, 0.25, 100_000, 11, 50),
-            (WIDE, 0.5, 100_000, 11, 50),
-            (HALF, 1.0, 100_000, 11, 200),
-            (HALF, 0.25, 10_000, 5, 50),
-            (HALF, 0.25, 100_000, 11, 1),
-        ],
-    )
-    def test_bit_identical_to_the_fresh_sort(self, params, r, n_agents, seed, iters):
-        config = SimConfig(n_agents=n_agents, n_reps=1, master_seed=seed)
-        want = ref_finite_best_response(params, r, config, iters)
-        if want is None:
-            with pytest.raises(ConvergenceError):
-                finite_best_response(params, r, config, iters)
-        else:
-            assert finite_best_response(params, r, config, iters) == want
-
-    def test_recovers_interior_cutoff(self):
-        config = SimConfig(n_agents=100_000, n_reps=1, master_seed=11)
-        estimate = finite_best_response(HALF, 0.25, config, iters=50)
-        assert abs(estimate - 1.0) <= 0.02
-
-    def test_recovers_wide_noise_cutoff(self):
-        config = SimConfig(n_agents=100_000, n_reps=1, master_seed=11)
-        estimate = finite_best_response(WIDE, 0.5, config, iters=50)
-        assert abs(estimate - 0.5) <= 0.02
-
-    def test_full_deterrence_drifts_to_no_attackers(self):
-        config = SimConfig(n_agents=100_000, n_reps=1, master_seed=11)
-        estimate = finite_best_response(HALF, 1.0, config, iters=200)
-        target = closed_form_thresholds(HALF, 1.0).x_cutoff
-        assert estimate <= target + 0.02
-
-    def test_deterministic(self):
-        config = SimConfig(n_agents=10_000, n_reps=1, master_seed=5)
-        assert finite_best_response(HALF, 0.25, config, iters=50) == finite_best_response(
-            HALF, 0.25, config, iters=50
-        )
-
-    def test_budget_of_one_iteration_raises(self):
-        # One step from the dominance start cannot land inside the settle band.
-        config = SimConfig(n_agents=100_000, n_reps=1, master_seed=11)
-        with pytest.raises(ConvergenceError):
-            finite_best_response(HALF, 0.25, config, iters=1)
-
-    def test_invalid_inputs_rejected(self):
-        config = SimConfig(n_agents=100, n_reps=1, master_seed=1)
-        with pytest.raises(DomainError):
-            finite_best_response(HALF, 1.5, config, iters=10)
-        with pytest.raises(DomainError):
-            finite_best_response(HALF, 0.5, config, iters=0)

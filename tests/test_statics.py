@@ -1,6 +1,7 @@
 """Welfare comparative statics in the intervention level."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from regimelab import (
     Verdict,
     aggregate_attack_no_intervention,
     classify_region,
+    compare_slices,
     compare_welfare,
     critical_sigma,
     ex_post_welfare,
@@ -234,6 +236,64 @@ class TestCompareWelfare:
             compare_welfare(WIDE, 0.8, 0.9, [])
         with pytest.raises(DomainError):
             compare_welfare(WIDE, 0.8, 0.9, [2.0, 1.0])
+
+
+class TestCompareSlices:
+    # 33,001 points: three slices, the last one partial.
+    THETAS = [k * 2e-4 for k in range(33_001)]
+
+    def test_slices_concatenate_to_the_whole_grid_curves(self):
+        slices = list(compare_slices(WIDE, 0.8, 0.9, self.THETAS))
+        assert [len(cols[0]) for cols in slices] == [16_384, 16_384, 233]
+        theta, region_low, attack_low, u_low, u_high, verdicts = (
+            np.concatenate(col) for col in zip(*slices)
+        )
+        grid = np.array(self.THETAS)
+        eq_low = solve_signaling(WIDE, 0.8)
+        eq_high = solve_signaling(WIDE, 0.9)
+        assert theta.tobytes() == grid.tobytes()
+        assert region_low.tolist() == classify_region(eq_low, grid).tolist()
+        whole_attack = aggregate_attack_no_intervention(WIDE, eq_low, grid)
+        assert attack_low.tobytes() == whole_attack.tobytes()
+        assert u_low.tobytes() == ex_post_welfare(WIDE, eq_low, grid).tobytes()
+        assert u_high.tobytes() == ex_post_welfare(WIDE, eq_high, grid).tobytes()
+        # The grid crosses the verdict flip, so every verdict is checked.
+        assert {Verdict.HIGHER_UNDER_AGGRESSIVE, Verdict.LOWER_UNDER_AGGRESSIVE} <= set(verdicts)
+        for lo, hi, verdict in zip(u_low.tolist(), u_high.tolist(), verdicts):
+            if hi - lo > 1e-9:
+                assert verdict is Verdict.HIGHER_UNDER_AGGRESSIVE
+            elif lo - hi > 1e-9:
+                assert verdict is Verdict.LOWER_UNDER_AGGRESSIVE
+            else:
+                assert verdict is Verdict.EQUAL
+
+    @pytest.mark.parametrize(
+        "r_low, r_high, grid, tol",
+        [
+            (0.9, 0.8, [1.0], 1e-9),
+            (0.8, 0.9, [], 1e-9),
+            (0.8, 0.9, [2.0, 1.0], 1e-9),
+            (0.8, 0.9, [1.0], -1.0),
+        ],
+    )
+    def test_each_refusal_raises_at_the_first_slice(self, r_low, r_high, grid, tol):
+        slices = compare_slices(WIDE, r_low, r_high, grid, tol)
+        with pytest.raises(DomainError):
+            next(slices)
+
+    def test_peak_holds_the_grid_and_one_slice(self):
+        # 327,680 points, 20 slices. Building the six whole-grid arrays
+        # first peaked at about 21 MiB; a slice at a time, what stays is the
+        # grid array of the checks, until the first slice, and one slice.
+        thetas = [k * 2e-5 for k in range(327_680)]
+        tracemalloc.start()
+        try:
+            for _ in compare_slices(WIDE, 0.8, 0.9, thetas):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 def _sweep_table(params, r_primes, thetas):
