@@ -122,8 +122,11 @@ def compare_welfare(
     ordering is not. The grid must be non-empty and sorted ascending. The
     fields are compare_slices' slices, concatenated.
     """
-    theta, region_low, attack_low, u_low, u_high, verdicts = map(
-        np.concatenate, zip(*compare_slices(params, r_low, r_high, theta_grid, tol))
+    # Each column's slices are dropped once it is joined, so the table is
+    # held once, plus one column.
+    columns = list(zip(*compare_slices(params, r_low, r_high, theta_grid, tol)))
+    theta, region_low, attack_low, u_low, u_high, verdicts = (
+        np.concatenate(columns.pop(0)) for _ in range(6)
     )
     return WelfareComparison(theta, u_low, u_high, region_low, verdicts, attack_low)
 

@@ -263,6 +263,8 @@ class TestCompareCommand:
 
 
 _SLICED_SWEEP = ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--theta", "0:3.3:0.0001"]
+_SLICED_COMPARE = ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+                   "--rprime-hi", "0.9", "--theta", "0:3.3:0.0001"]
 
 
 class TestStreamedTables:
@@ -337,6 +339,30 @@ class TestStreamedTables:
         out.write_text("an earlier table\n")
         assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
         assert calls == [16_384]
+        assert out.read_text() == "an earlier table\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_error_after_the_first_block_leaves_no_file(
+        self, fmt, tmp_path, monkeypatch
+    ):
+        # compare evaluates welfare twice a slice, so the third call is in the second slice.
+        calls = self.fail_on_slice(monkeypatch, 3)
+        out = tmp_path / "out"
+        out.write_text("an earlier table\n")
+        assert run([*_SLICED_COMPARE, "--format", fmt, "--out", str(out)]) == 2
+        assert calls == [16_384] * 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_error_before_the_first_byte_leaves_an_existing_file(
+        self, fmt, tmp_path, monkeypatch
+    ):
+        # The second call is the first slice's welfare under r_high.
+        calls = self.fail_on_slice(monkeypatch, 2)
+        out = tmp_path / "out"
+        out.write_text("an earlier table\n")
+        assert run([*_SLICED_COMPARE, "--format", fmt, "--out", str(out)]) == 2
+        assert calls == [16_384] * 2
         assert out.read_text() == "an earlier table\n"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
