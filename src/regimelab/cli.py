@@ -37,6 +37,8 @@ import sys
 from itertools import repeat, starmap
 from operator import attrgetter
 
+import numpy as np
+
 from .continuation import closed_form_thresholds, require_tolerance, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError
 from .model import ModelParams
@@ -118,15 +120,15 @@ def _parse_float_list(text: str, label: str) -> list[float]:
     return [_parse_float(part, label) for part in text.split(",")]
 
 
-# Ten million points (a 320 MB list of floats, 140 times the densest benchmark
+# Ten million points (an 80 MB float array, 140 times the densest benchmark
 # grid) is past any table; a larger count is a mistyped step, refused unbuilt.
 _MAX_GRID_POINTS = 10_000_000
 
 
-def _parse_theta_spec(text: str) -> list[float]:
-    """Parse 'lo:hi:step' (endpoints inclusive, count snapped) or one number."""
+def _parse_theta_spec(text: str) -> np.ndarray:
+    """Parse 'lo:hi:step' (endpoints inclusive, count snapped) or one number into a float array."""
     if ":" not in text:
-        return [_parse_float(text, "theta")]
+        return np.array([_parse_float(text, "theta")])
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"theta grid must be lo:hi:step, got {text!r}")
@@ -145,7 +147,12 @@ def _parse_theta_spec(text: str) -> list[float]:
     count = math.floor(steps + 1e-9 * max(1.0, steps))
     if count + 1 > _MAX_GRID_POINTS:
         raise DomainError(f"theta grid {text!r} has more than {_MAX_GRID_POINTS:,} points")
-    return [lo + k * step for k in range(count + 1)]
+    # Built in place, so the grid is held once: for k below 2**53, float(k)
+    # is exact and each point has the bits of the scalar lo + k * step.
+    grid = np.arange(count + 1, dtype=float)
+    grid *= step
+    grid += lo
+    return grid
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -240,9 +247,13 @@ def _csv_field(cell) -> str:
     return "{:.9g}" if isinstance(cell, float) else "{}"
 
 
-def _cells(array) -> list:
-    """A float array's cells, or the values (read from _value_) of an array of enum members."""
-    return list(map(attrgetter("_value_"), array)) if array.dtype == object else array.tolist()
+def _rows(*columns) -> list[tuple]:
+    """The rows of a table given as column arrays: floats of a float array, and
+    the values (read from _value_) of an object array of enum members."""
+    return list(zip(*(
+        map(attrgetter("_value_"), col) if col.dtype == object else col.tolist()
+        for col in columns
+    )))
 
 
 def _template_fields(columns: tuple[str, ...], constants: dict, encode, slots) -> list[str]:
@@ -402,8 +413,7 @@ def _cmd_welfare_sweep(opts: _Options) -> int:
     r_primes = _parse_float_list(opts.require("rprime"), "rprime")
     thetas = _parse_theta_spec(opts.require("theta"))
     blocks = (
-        (list(zip(part, _cells(regions), attacks, welfares)), {"rprime": r_prime})
-        for r_prime, part, regions, attacks, welfares in sweep(params, r_primes, thetas)
+        (_rows(*cols), {"rprime": r_prime}) for r_prime, *cols in sweep(params, r_primes, thetas)
     )
     _write_table(
         "welfare-sweep", _format_from(opts), opts.get("out"), blocks,
@@ -418,10 +428,7 @@ def _cmd_compare(opts: _Options) -> int:
     r_high = _parse_float(opts.require("rprime_hi"), "rprime-hi")
     thetas = _parse_theta_spec(opts.require("theta"))
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
-    blocks = (
-        (list(zip(*map(_cells, cols))), {})
-        for cols in compare_slices(params, r_low, r_high, thetas, tol)
-    )
+    blocks = ((_rows(*cols), {}) for cols in compare_slices(params, r_low, r_high, thetas, tol))
     _write_table(
         "compare", _format_from(opts), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower, rprime=r_low, rprime_hi=r_high,
@@ -460,14 +467,12 @@ def _cmd_simulate(opts: _Options) -> int:
         outcome = simulate_continuation(params, policy, thetas, cutoff, config)
     else:
         raise DomainError("pass either --r (continuation) or --rprime (signaling)")
-    rows = list(
-        zip(
-            thetas,
-            outcome.alpha_mean.tolist(),
-            outcome.alpha_halfwidth.tolist(),
-            outcome.fall_frequency.tolist(),
-            outcome.welfare_mean.tolist(),
-        )
+    rows = _rows(
+        thetas,
+        outcome.alpha_mean,
+        outcome.alpha_halfwidth,
+        outcome.fall_frequency,
+        outcome.welfare_mean,
     )
     _write_table(
         "simulate", _format_from(opts), opts.get("out"), [(rows, {})],

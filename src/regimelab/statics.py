@@ -15,7 +15,7 @@ signal and shrinks the residual attack.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -113,14 +113,14 @@ def compare_welfare(
     params: ModelParams,
     r_low: float,
     r_high: float,
-    theta_grid: list[float],
+    theta_grid: Sequence[float],
     tol: float = 1e-9,
 ) -> WelfareComparison:
     """Tabulate welfare under r_low and r_high and issue a per-theta verdict.
 
     r_low == r_high is allowed (every verdict is then EQUAL); reversed
-    ordering is not. The grid must be non-empty and sorted ascending. The
-    fields are compare_slices' slices, concatenated.
+    ordering is not. The grid must be non-empty, finite and sorted
+    ascending. The fields are compare_slices' slices, concatenated.
     """
     # Each column's slices are dropped once it is joined, so the table is
     # held once, plus one column.
@@ -140,16 +140,17 @@ def compare_slices(
     params: ModelParams,
     r_low: float,
     r_high: float,
-    theta_grid: list[float],
+    theta_grid: Sequence[float],
     tol: float = 1e-9,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """compare_welfare's table, a _SWEEP_SLICE run of theta_grid at a time.
 
-    Yields (theta, region_low, attack_low, u_low, u_high, verdicts) arrays
-    per slice, in the compare command's column order: region_low and
+    theta_grid is any 1-D sequence of floats, such as a list or a float
+    array. Yields (theta, region_low, attack_low, u_low, u_high, verdicts)
+    arrays per slice, in the compare command's column order: region_low and
     verdicts hold PolicyRegion and Verdict members in object arrays, the
-    rest are float arrays. The inputs are checked and both equilibria
-    solved before the first slice.
+    rest are float arrays. The r_low columns are sweep's. The inputs are
+    checked and both equilibria solved before the first slice.
     """
     r_tilde = max_policy(params)
     if not params.r_lower < r_low <= r_high <= r_tilde:
@@ -157,53 +158,45 @@ def compare_slices(
             "intervention levels must satisfy "
             f"r_lower < r_low <= r_high <= r_tilde = {r_tilde:.9g}"
         )
-    grid = np.array(theta_grid, dtype=float)
+    grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise DomainError("theta_grid must be non-empty")
+    if not np.isfinite(grid).all():
+        raise DomainError("theta_grid must be finite")
     if np.any(grid[1:] < grid[:-1]):
         raise DomainError("theta_grid must be sorted ascending")
     if not tol >= 0:
         raise DomainError("tol must be nonnegative")
+    del grid  # a list's whole-grid copy must not outlive the checks
 
-    eq_low = solve_signaling(params, r_low)
     eq_high = solve_signaling(params, r_high)
-    for start in range(0, len(theta_grid), _SWEEP_SLICE):
-        # Rebinding grid frees the whole-grid array of the checks above.
-        grid = np.array(theta_grid[start : start + _SWEEP_SLICE], dtype=float)
-        u_low = ex_post_welfare(params, eq_low, grid)
-        u_high = ex_post_welfare(params, eq_high, grid)
+    for _, theta, region_low, attack_low, u_low in sweep(params, [r_low], theta_grid):
+        u_high = ex_post_welfare(params, eq_high, theta)
         verdicts = np.select([u_high - u_low > tol, u_low - u_high > tol], [0, 1], 2)
-        yield (
-            grid,
-            classify_region(eq_low, grid),
-            aggregate_attack_no_intervention(params, eq_low, grid),
-            u_low,
-            u_high,
-            _VERDICTS[verdicts],
-        )
+        yield theta, region_low, attack_low, u_low, u_high, _VERDICTS[verdicts]
 
 
 def sweep(
-    params: ModelParams, r_primes: list[float], thetas: list[float]
-) -> Iterator[tuple[float, list[float], np.ndarray, list[float], list[float]]]:
+    params: ModelParams, r_primes: list[float], thetas: Sequence[float]
+) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Region, attack and welfare over an (r_prime, theta) grid, a slice at a time.
 
+    thetas is any 1-D sequence of floats, such as a list or a float array.
     Yields (r_prime, theta_slice, regions, attacks, welfares) with r_prime
     outer and theta inner: theta_slice is the next _SWEEP_SLICE points of
-    thetas, regions an object array of PolicyRegion members, and attacks
-    (after no intervention) and welfares lists of floats, all of its length.
-    Every r_prime is solved, and so checked, before the first slice. An
-    empty family yields nothing.
+    thetas as a float array, regions an object array of PolicyRegion
+    members, and attacks (after no intervention) and welfares float arrays,
+    all of its length. Every r_prime is solved, and so checked, before the
+    first slice. An empty family yields nothing.
     """
     eqs = [solve_signaling(params, r_prime) for r_prime in r_primes]
     for r_prime, eq in zip(r_primes, eqs):
         for start in range(0, len(thetas), _SWEEP_SLICE):
-            part = thetas[start : start + _SWEEP_SLICE]
-            grid = np.array(part)
+            grid = np.asarray(thetas[start : start + _SWEEP_SLICE], dtype=float)
             yield (
                 r_prime,
-                part,
+                grid,
                 classify_region(eq, grid),
-                aggregate_attack_no_intervention(params, eq, grid).tolist(),
-                ex_post_welfare(params, eq, grid).tolist(),
+                aggregate_attack_no_intervention(params, eq, grid),
+                ex_post_welfare(params, eq, grid),
             )

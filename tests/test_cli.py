@@ -720,7 +720,26 @@ class TestThetaGrid:
         # Spans that divide exactly up to rounding keep the last point, bit for bit.
         lo, hi, step = (float(part) for part in spec.split(":"))
         count = int(round((hi - lo) / step))
-        assert _parse_theta_spec(spec) == [lo + k * step for k in range(count + 1)]
+        expected = np.array([lo + k * step for k in range(count + 1)])
+        assert _parse_theta_spec(spec).tobytes() == expected.tobytes()
+
+    def test_largest_grid_keeps_the_scalar_bits(self):
+        # Exactly 10,000,000 points: each is lo + k*step bit for bit, at the
+        # first slice's edges and at the last two points.
+        grid = _parse_theta_spec("-3:996.9999:0.0001")
+        assert len(grid) == 10_000_000
+        for k in (0, 16_383, 16_384, 16_385, 9_999_998, 9_999_999):
+            assert grid[k].tobytes() == np.float64(-3.0 + k * 0.0001).tobytes(), k
+
+    def test_grid_is_held_once(self):
+        # 700,001 points: a list of floats peaked at about 32.5 bytes a point.
+        tracemalloc.start()
+        try:
+            grid = _parse_theta_spec("0:70:0.0001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(grid) + 64 * 2**10, peak
 
     @pytest.mark.parametrize("spec", ["0:1:1e-300", "0:10000000:1"])
     def test_point_count_is_bounded(self, spec, capsys):
@@ -733,6 +752,22 @@ class TestThetaGrid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestGridMemory:
+    """A table's traced peak grows by the grid's 8 bytes a point, not more."""
+
+    @pytest.mark.parametrize(
+        "argv", [[*_SLICED_SWEEP[:-2], "--rprime", "0.8"], _SLICED_COMPARE[:-2]],
+        ids=["welfare-sweep", "compare"],
+    )
+    def test_peak_grows_by_the_grid_array(self, argv, tmp_path):
+        # 20,001 and 120,001 theta, in CSV. A list grid grew the peak by about
+        # 3.3 MiB here, the float array by about 1 MiB.
+        out = tmp_path / "out"
+        small = TestStreamedTables.peak([*argv, "--theta", "0:2:0.0001"], out)
+        large = TestStreamedTables.peak([*argv, "--theta", "0:12:0.0001"], out)
+        assert large - small < 8 * 100_000 + 2**20, (small, large)
 
 
 class TestNonFiniteInput:

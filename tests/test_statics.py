@@ -274,6 +274,9 @@ class TestCompareSlices:
             (0.8, 0.9, [], 1e-9),
             (0.8, 0.9, [2.0, 1.0], 1e-9),
             (0.8, 0.9, [1.0], -1.0),
+            (0.8, 0.9, [1.0, np.nan, 0.5], 1e-9),
+            (0.8, 0.9, [np.nan], 1e-9),
+            (0.8, 0.9, [np.inf], 1e-9),
         ],
     )
     def test_each_refusal_raises_at_the_first_slice(self, r_low, r_high, grid, tol):
