@@ -500,7 +500,7 @@ def _cmd_verify(opts: _Options) -> int:
              "" if res.max_error is None else f"{res.max_error:.9g}", res.tolerance)
             for res in report.results
         ]
-        _write_table("verify", "csv", opts.get("out"), [(rows, {})] if rows else [])
+        _write_table("verify", "csv", opts.get("out"), [(rows, {})])
     else:
         try:
             text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
@@ -542,58 +542,49 @@ _OPTIONS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", **_OPTIONS[name])
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regimelab",
         description="Equilibrium laboratory for the regime-change signalling game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("continuation", help="fixed-policy equilibrium thresholds")
-    _add_common(p, "sigma", "rbar", "r", "solver", "tol", "format", "out", "config")
-    p.set_defaults(handler=_cmd_continuation)
-
-    p = sub.add_parser("signaling", help="signalling-equilibrium threshold bundle")
-    _add_common(p, "sigma", "rbar", "rprime", "format", "out", "config")
-    p.set_defaults(handler=_cmd_signaling)
-
-    p = sub.add_parser("welfare-sweep", help="region/attack/welfare over a theta grid")
-    _add_common(p, "sigma", "rbar", "rprime", "theta", "format", "out", "config")
-    p.set_defaults(handler=_cmd_welfare_sweep)
-
-    p = sub.add_parser("compare", help="welfare under two intervention levels")
-    _add_common(
-        p, "sigma", "rbar", "rprime", "rprime-hi", "theta", "tol", "format", "out", "config"
-    )
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("simulate", help="finite-agent Monte Carlo")
-    _add_common(
-        p,
-        "sigma",
-        "rbar",
-        "r",
-        "rprime",
-        "x-cutoff",
-        "theta",
-        "agents",
-        "reps",
-        "seed",
-        "format",
-        "out",
-        "config",
-    )
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("verify", help="run the cross-checking suite")
-    _add_common(p, "sigma", "rbar", "format", "out", "config")
-    p.set_defaults(handler=_cmd_verify)
-
+    # Each subcommand as (handler, help, its long options); every one also
+    # takes --format, --out and --config. The handlers are read at each call,
+    # so a wrapper set on this module, such as a tracer's, is the one run.
+    commands = {
+        "continuation": (
+            _cmd_continuation,
+            "fixed-policy equilibrium thresholds",
+            ("sigma", "rbar", "r", "solver", "tol"),
+        ),
+        "signaling": (
+            _cmd_signaling,
+            "signalling-equilibrium threshold bundle",
+            ("sigma", "rbar", "rprime"),
+        ),
+        "welfare-sweep": (
+            _cmd_welfare_sweep,
+            "region/attack/welfare over a theta grid",
+            ("sigma", "rbar", "rprime", "theta"),
+        ),
+        "compare": (
+            _cmd_compare,
+            "welfare under two intervention levels",
+            ("sigma", "rbar", "rprime", "rprime-hi", "theta", "tol"),
+        ),
+        "simulate": (
+            _cmd_simulate,
+            "finite-agent Monte Carlo",
+            ("sigma", "rbar", "r", "rprime", "x-cutoff", "theta", "agents", "reps", "seed"),
+        ),
+        "verify": (_cmd_verify, "run the cross-checking suite", ("sigma", "rbar")),
+    }
+    for command, (handler, help_text, names) in commands.items():
+        # No abbreviations: verify would read --r, another command's option, as --rbar.
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name in (*names, "format", "out", "config"):
+            p.add_argument(f"--{name}", **_OPTIONS[name])
+        p.set_defaults(handler=handler)
     return parser
 
 

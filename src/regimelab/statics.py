@@ -149,8 +149,9 @@ def compare_slices(
     array. Yields (theta, region_low, attack_low, u_low, u_high, verdicts)
     arrays per slice, in the compare command's column order: region_low and
     verdicts hold PolicyRegion and Verdict members in object arrays, the
-    rest are float arrays. The r_low columns are sweep's. The inputs are
-    checked and both equilibria solved before the first slice.
+    rest are float arrays. The r_low columns are sweep's, which checks theta
+    finite. The inputs are checked and both equilibria solved before the
+    first slice.
     """
     r_tilde = max_policy(params)
     if not params.r_lower < r_low <= r_high <= r_tilde:
@@ -161,8 +162,6 @@ def compare_slices(
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise DomainError("theta_grid must be non-empty")
-    if not np.isfinite(grid).all():
-        raise DomainError("theta_grid must be finite")
     if np.any(grid[1:] < grid[:-1]):
         raise DomainError("theta_grid must be sorted ascending")
     if not tol >= 0:
@@ -186,10 +185,12 @@ def sweep(
     outer and theta inner: theta_slice is the next _SWEEP_SLICE points of
     thetas as a float array, regions an object array of PolicyRegion
     members, and attacks (after no intervention) and welfares float arrays,
-    all of its length. Every r_prime is solved, and so checked, before the
-    first slice. An empty family yields nothing.
+    all of its length. Every r_prime is solved, and so checked, and every
+    theta checked finite before the first slice. An empty family yields nothing.
     """
     eqs = [solve_signaling(params, r_prime) for r_prime in r_primes]
+    if not np.isfinite(thetas).all():
+        raise DomainError("thetas must be finite")
     for r_prime, eq in zip(r_primes, eqs):
         for start in range(0, len(thetas), _SWEEP_SLICE):
             grid = np.asarray(thetas[start : start + _SWEEP_SLICE], dtype=float)

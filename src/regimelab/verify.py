@@ -11,11 +11,11 @@ leading array axis; policies, family members and theta probes are trailing
 axes. Each block is solved once: the continuation thresholds over the
 policy grid, the default signalling family, and the dominance oracle as one
 batched recurrence, one array call each. Every check reads those shared
-arrays (and the theta probes on them) and returns its points and worst
-error over the block; only the finite-difference and sensitivity checks
-solve their own shifted families. A check that covers only some family
-members counts the others out with a mask, so every point gets the bits
-and counts it got when each point was solved on its own.
+arrays (and the theta probes on them) and returns one error per compared
+value, as one array that run_verify alone counts and reduces; only the
+finite-difference and sensitivity checks solve their own shifted families.
+A check that covers only some family members indexes the others out with
+a mask, so every point gets the bits and counts it got when solved alone.
 Failures are data, not exceptions: callers read the report and pick an
 exit code. A point the solvers refuse raises, the first in grid order.
 """
@@ -93,8 +93,8 @@ class VerifyReport:
 # axes hold policies, family members and theta probes. cont is the
 # continuation thresholds over _POLICIES, (points, 1, 21); eq the default
 # signalling family, fields (points, 25, 1); iterated the thresholds over
-# _POLICIES by iterated dominance. A check returns its points and its worst
-# error over the block.
+# _POLICIES by iterated dominance. A check returns its errors over the
+# block, one per compared value; run_verify counts and reduces them.
 _POLICIES = np.linspace(0.0, 1.0, 21)
 _MEMBERS = 25
 _ATTACK_PROBES = 41
@@ -139,80 +139,66 @@ def _probe_grid(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return grid
 
 
-def _worst(*errors: np.ndarray) -> float:
-    """Largest error in any of the arrays, floored at zero; NaN if any is NaN.
-
-    An empty set of points has no error, so it gives zero.
-    """
-    return float(np.max([np.max(e, initial=0.0) for e in errors]))
-
-
-def _check_continuation_closed_form(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_continuation_closed_form(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     marginal = cont.theta_cutoff + params.sigma * (1.0 - 2.0 * cont.r)
-    errors = (np.abs(cont.theta_cutoff - (1.0 - cont.r)), np.abs(cont.x_cutoff - marginal))
-    return cont.x_cutoff.size, _worst(*errors)
+    theta_error = np.abs(cont.theta_cutoff - (1.0 - cont.r))
+    return np.maximum(theta_error, np.abs(cont.x_cutoff - marginal))
 
 
-def _check_continuation_fixed_point(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_continuation_fixed_point(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     mass = attack_mass(params, cont.x_cutoff, cont.theta_cutoff)
-    return cont.x_cutoff.size, _worst(np.abs(mass - cont.theta_cutoff))
+    return np.abs(mass - cont.theta_cutoff)
 
 
-def _check_continuation_indifference(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_continuation_indifference(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     prob = success_prob_given_signal(params, cont.theta_cutoff, cont.x_cutoff)
-    return cont.x_cutoff.size, _worst(np.abs(prob - cont.r))
+    return np.abs(prob - cont.r)
 
 
-def _check_continuation_dominance(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
-    errors = (
+def _check_continuation_dominance(params: ModelParams, cont, eq, iterated) -> np.ndarray:
+    return np.maximum(
         np.abs(iterated.x_cutoff - cont.x_cutoff),
         np.abs(iterated.theta_cutoff - cont.theta_cutoff),
     )
-    return cont.x_cutoff.size, _worst(*errors)
 
 
-def _check_continuation_monotonicity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
-    # Thresholds must fall strictly as the policy rises.
-    x_diffs = np.diff(cont.x_cutoff)
-    return x_diffs.size, float(np.max([np.max(x_diffs), np.max(np.diff(cont.theta_cutoff))]))
+def _check_continuation_monotonicity(params: ModelParams, cont, eq, iterated) -> np.ndarray:
+    # Thresholds must fall strictly as the policy rises: signed, not floored.
+    return np.maximum(np.diff(cont.x_cutoff), np.diff(cont.theta_cutoff))
 
 
-def _check_signaling_cost_threshold(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
-    return eq.r_prime.size, _worst(np.abs(eq.theta_lower - cost(params, eq.r_prime)))
+def _check_signaling_cost_threshold(params: ModelParams, cont, eq, iterated) -> np.ndarray:
+    return np.abs(eq.theta_lower - cost(params, eq.r_prime))
 
 
-def _check_signaling_indifference(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_signaling_indifference(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     # Routed through the signal-cutoff ramp rather than the piecewise form:
     # the piecewise form hits theta_lower at its own theta_upper by
     # construction and would mask an error in theta_upper itself.
     mass = attack_mass(params, eq.x_prime, eq.theta_upper)
-    return eq.r_prime.size, _worst(np.abs(mass - eq.theta_lower))
+    return np.abs(mass - eq.theta_lower)
 
 
-def _check_signaling_attack_consistency(
-    params: ModelParams, cont, eq, iterated
-) -> tuple[int, float]:
+def _check_signaling_attack_consistency(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     lo = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
     thetas = _probe_grid(lo - 1.0, eq.theta_no_attack + 1.0, _ATTACK_PROBES)
     piecewise = aggregate_attack_no_intervention(params, eq, thetas)
     ramp = attack_mass(params, eq.x_prime, thetas)
-    return thetas.size, _worst(np.abs(piecewise - ramp))
+    return np.abs(piecewise - ramp)
 
 
-def _check_signaling_alt_form(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_signaling_alt_form(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     alt = 2.0 * params.sigma + (
         1.0 - 2.0 * params.sigma * params.r_lower / (1.0 - params.r_lower)
     ) * eq.theta_lower
-    return eq.r_prime.size, _worst(np.abs(eq.theta_no_attack - alt))
+    return np.abs(eq.theta_no_attack - alt)
 
 
-def _check_signaling_ordering(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
-    gaps = (
-        eq.theta_lower - eq.theta_upper,
-        eq.theta_upper - eq.theta_no_attack,
-        eq.theta_lower - (1.0 - params.r_lower),
-    )
-    return eq.r_prime.size, _worst(*gaps)
+def _check_signaling_ordering(params: ModelParams, cont, eq, iterated) -> np.ndarray:
+    # Each gap must not be positive; floored at zero.
+    gap = np.maximum(eq.theta_lower - eq.theta_upper, eq.theta_upper - eq.theta_no_attack)
+    gap = np.maximum(gap, eq.theta_lower - (1.0 - params.r_lower))
+    return np.maximum(gap, 0.0)
 
 
 def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, float]:
@@ -226,7 +212,7 @@ def _welfare_branch_values(params: ModelParams, eq, theta: float) -> dict[str, f
     }
 
 
-def _check_welfare_continuity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_welfare_continuity(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     at_lower = _welfare_branch_values(params, eq, eq.theta_lower)
     at_upper = _welfare_branch_values(params, eq, eq.theta_upper)
     at_top = _welfare_branch_values(params, eq, eq.theta_no_attack)
@@ -235,17 +221,16 @@ def _check_welfare_continuity(params: ModelParams, cont, eq, iterated) -> tuple[
         np.abs(at_upper["intervene"] - at_upper["defend"]),
         np.abs(at_top["defend"] - at_top["no_attack"]),
     )
-    return 3 * eq.r_prime.size, _worst(*gaps)
+    return np.stack(gaps)
 
 
-def _check_welfare_branch_consistency(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_welfare_branch_consistency(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     # Members whose defend band is empty have nothing to compare.
     banded = (eq.theta_no_attack > eq.theta_upper)[..., 0]
     thetas = _probe_grid(eq.theta_upper, eq.theta_no_attack, 21)[..., :-1]
     direct = ex_post_welfare(params, eq, thetas)
     via_attack = thetas - aggregate_attack_no_intervention(params, eq, thetas)
-    errors = np.abs(direct - via_attack)[banded]
-    return errors.size, _worst(errors)
+    return np.abs(direct - via_attack)[banded]
 
 
 def _probe_derivatives(
@@ -271,23 +256,21 @@ def _probe_derivatives(
     return points, deriv, counted
 
 
-def _check_derivative_signs(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_derivative_signs(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     noisy = params.sigma > critical_sigma(params)
     points, deriv, counted = _probe_derivatives(params, eq)
     region = classify_region(eq, points)
     # Intervening must hurt; defending must help when noisy and may not help
-    # when precise; elsewhere the slope is zero.
+    # when precise; elsewhere the slope is zero. Floored at zero.
     violation = np.select(
         [region == PolicyRegion.INTERVENE, region == PolicyRegion.DEFEND_UNDER_ATTACK],
         [deriv, np.where(noisy, -deriv, deriv)],
         np.abs(deriv),
     )
-    return int(counted.sum()), _worst(violation[counted])
+    return np.maximum(violation[counted], 0.0)
 
 
-def _check_derivative_finite_difference(
-    params: ModelParams, cont, eq, iterated
-) -> tuple[int, float]:
+def _check_derivative_finite_difference(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     h = 1e-5
     inner = _inner_members(params, eq.r_prime, h)
     eq_lo, eq_hi = (solve_signaling(params, _shifted(eq.r_prime, inner, s)) for s in (-h, h))
@@ -296,10 +279,10 @@ def _check_derivative_finite_difference(
     fd = (
         ex_post_welfare(params, eq_hi, points) - ex_post_welfare(params, eq_lo, points)
     ) / (2.0 * h)
-    return int(counted.sum()), _worst(np.abs(analytic - fd)[counted])
+    return np.abs(analytic - fd)[counted]
 
 
-def _check_threshold_sensitivity(params: ModelParams, cont, eq, iterated) -> tuple[int, float]:
+def _check_threshold_sensitivity(params: ModelParams, cont, eq, iterated) -> np.ndarray:
     h = 1e-6
     inner = _inner_members(params, eq.r_prime, h)
     analytic = lower_threshold_sensitivity(params, eq.r_prime)
@@ -307,7 +290,7 @@ def _check_threshold_sensitivity(params: ModelParams, cont, eq, iterated) -> tup
         solve_signaling(params, _shifted(eq.r_prime, inner, h)).theta_lower
         - solve_signaling(params, _shifted(eq.r_prime, inner, -h)).theta_lower
     ) / (2.0 * h)
-    return int(inner.sum()), _worst(np.abs(analytic - fd)[inner])
+    return np.abs(analytic - fd)[inner]
 
 
 # Each cross-check as (name, check of one block of parameter points, tolerance).
@@ -331,7 +314,7 @@ _CHECKS = (
 )
 
 
-def _check_block(block: list[ModelParams]) -> list[tuple[int, float]]:
+def _check_block(block: list[ModelParams]) -> list[np.ndarray]:
     """Solve a block of parameter points once and run every check on it.
 
     Solves the continuation thresholds, then the signalling family, then the
@@ -348,7 +331,7 @@ def _check_block(block: list[ModelParams]) -> list[tuple[int, float]]:
     return [fn(params, cont, eq, iterated) for _, fn, _ in _CHECKS]
 
 
-def _solve_block(block: list[ModelParams]) -> list[tuple[int, float]]:
+def _solve_block(block: list[ModelParams]) -> list[np.ndarray]:
     """_check_block, raising the first refused point's error in grid order.
 
     A block refused as a whole is walked one point at a time until a point
@@ -366,17 +349,19 @@ def _solve_block(block: list[ModelParams]) -> list[tuple[int, float]]:
 def run_verify(params_list: list[ModelParams]) -> VerifyReport:
     """Run every cross-check over the grid, _BLOCK points at a time, and collect a report.
 
-    A NaN or infinite error, such as overflow at an extreme sigma gives, fails
-    its check with a max_error of None; it raises no numpy warning. The first
-    point the solvers refuse, in grid order, raises its error.
+    A check's points are the summed sizes of its error arrays, and its
+    max_error their largest element. A NaN or infinite one, such as overflow
+    at an extreme sigma gives, fails its check with a max_error of None; it
+    raises no numpy warning. The first point the solvers refuse, in grid
+    order, raises its error.
     """
     points = [0] * len(_CHECKS)
     worst = [-np.inf] * len(_CHECKS)
     for start in range(0, len(params_list), _BLOCK):
-        for i, (n, err) in enumerate(_solve_block(params_list[start : start + _BLOCK])):
-            points[i] += n
+        for i, errors in enumerate(_solve_block(params_list[start : start + _BLOCK])):
+            points[i] += errors.size
             # np.maximum, unlike max, keeps a NaN whichever side it is on.
-            worst[i] = np.maximum(worst[i], err)
+            worst[i] = np.maximum(worst[i], np.max(errors, initial=-np.inf))
     results = (
         CheckResult(
             name=name,

@@ -33,6 +33,7 @@ from regimelab import (
 )
 from regimelab.cli import (
     _COLUMNS,
+    _build_parser,
     _json_cells,
     _parse_theta_spec,
     _write_record,
@@ -1035,3 +1036,46 @@ def test_python_dash_m_regimelab_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "sigma,r,x_cutoff,theta_cutoff\n0.5,0.25,1,0.75\n"
     assert proc.stderr == ""
+
+
+# Each subcommand's long options besides --format, --out and --config.
+_OWN_OPTIONS = {
+    "continuation": ("sigma", "rbar", "r", "solver", "tol"),
+    "signaling": ("sigma", "rbar", "rprime"),
+    "welfare-sweep": ("sigma", "rbar", "rprime", "theta"),
+    "compare": ("sigma", "rbar", "rprime", "rprime-hi", "theta", "tol"),
+    "simulate": ("sigma", "rbar", "r", "rprime", "x-cutoff", "theta", "agents", "reps", "seed"),
+    "verify": ("sigma", "rbar"),
+}
+_ALL_OPTIONS = sorted(set().union(*_OWN_OPTIONS.values()))
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(cmd, opt) for cmd, own in _OWN_OPTIONS.items() for opt in _ALL_OPTIONS if opt not in own],
+)
+def test_option_of_another_subcommand_exits_2(command, option, capsys):
+    # verify --r 1 was read as the abbreviation of --rbar.
+    assert run([command, f"--{option}", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --{option} 1" in captured.err
+
+
+@pytest.mark.parametrize("command", _OWN_OPTIONS)
+def test_each_own_option_is_parsed(command):
+    own = (*_OWN_OPTIONS[command], "format", "out", "config")
+    value = {"solver": "iterated", "format": "json"}
+    argv = [command, *(f"--{opt}={value.get(opt, '1')}" for opt in own)]
+    ns = _build_parser().parse_args(argv)
+    assert {opt: getattr(ns, opt.replace("-", "_")) for opt in own} == {
+        opt: value.get(opt, "1") for opt in own
+    }
+
+
+def test_a_handler_set_on_the_module_is_the_one_run(monkeypatch):
+    # The benchmark's tracer times each command by wrapping cli._cmd_*.
+    import regimelab.cli as cli
+
+    monkeypatch.setattr(cli, "_cmd_verify", lambda opts: 7)
+    assert run(["verify"]) == 7

@@ -366,6 +366,13 @@ class TestSweep:
         with pytest.raises(DomainError):
             next(slices)
 
+    @pytest.mark.parametrize("thetas", [[np.nan], [np.inf], [1.0, np.nan]])
+    def test_non_finite_theta_is_refused_before_the_first_slice(self, thetas):
+        # These used to yield no-attack rows with a NaN or infinite welfare.
+        slices = sweep(WIDE, [0.8], thetas)
+        with pytest.raises(DomainError, match="thetas must be finite"):
+            next(slices)
+
     def test_row_ordering(self):
         rows = _sweep_table(WIDE, [0.5, 0.8], [0.0, 0.5, 1.0])
         assert [row[:2] for row in rows] == [

@@ -239,6 +239,12 @@ class TestGridMatchesPerPointVerify:
         # Past r_lower = 0.35 the signalling thresholds overflow at 5e307.
         assert_matches_reference([ModelParams(sigma, rb) for rb in (0.05, 0.2, 0.35)])
 
+    @pytest.mark.parametrize("sigma", [0.5, 3.0])
+    def test_ordering_gaps_all_below_zero(self, sigma):
+        # At r_lower = 0.9 every signalling.ordering gap of the one point is
+        # negative, so only the floor at zero gives its max_error of 0.0.
+        assert_matches_reference([ModelParams(sigma, 0.9)])
+
     def test_extreme_sigmas_in_one_block(self):
         grid = [ModelParams(s, 0.2) for s in (1e6, 1e-3, 5e307, 0.5)]
         assert_matches_reference(grid)
