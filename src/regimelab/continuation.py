@@ -41,17 +41,17 @@ class ContinuationEquilibrium:
 
 @dataclass(frozen=True)
 class DominanceTrace:
-    """Cutoff sequences produced by iterated elimination.
+    """How iterated elimination ended: its rounds and its last bracket.
 
-    upper_seq starts from a cutoff so high that everyone attacks and is
-    non-increasing; lower_seq starts from one so low that nobody attacks and
-    is non-decreasing. contraction_modulus = 1/(1 + 2*sigma) bounds the
-    per-step shrinkage of the bracket, which sizes the solver's round budget;
-    rounding can still stall it above a tolerance as fine as 1e-16.
+    final_bracket is (lower, upper): the cutoff reached from "nobody
+    attacks", which never falls, and the one reached from "everyone
+    attacks", which never rises. contraction_modulus = 1/(1 + 2*sigma) bounds
+    the per-round shrinkage of the bracket, which sizes the solver's round
+    budget; rounding can still stall it above a tolerance as fine as 1e-16.
     """
 
-    upper_seq: tuple[float, ...]
-    lower_seq: tuple[float, ...]
+    rounds: int
+    final_bracket: tuple[float, float]
     converged: bool
     contraction_modulus: float
 
@@ -132,9 +132,9 @@ def require_tolerance(tol: float) -> None:
         raise DomainError("tol must be positive and finite")
 
 
-# Each round keeps two floats in the trace (about 90 bytes with its lists and
-# tuples), so a million rounds hold about 90 MB and take about 2 s; at the
-# default tol, sigma below about 1.1e-5 needs more and is refused unrun.
+# A round holds no state beyond the bracket, so the cap bounds time only: a
+# million scalar rounds take about 1 s. At the default tol, sigma below
+# about 1.1e-5 needs more and is refused unrun.
 _MAX_ROUNDS = 1_000_000
 
 
@@ -179,25 +179,21 @@ def solve_iterated_dominance(
     the 2*sigma + 3 wide start and the contraction modulus, plus one.
 
     Raises DomainError past _MAX_ROUNDS rounds, and ConvergenceError if
-    rounding stalls the bracket above tol (partial trace as ``trace``).
+    rounding stalls the bracket above tol (its trace as ``trace``).
     """
     _require_unit_policy(r)
     rounds = _round_budget(params.sigma, tol)
     upper = 1.0 + params.sigma + 1.0
     lower = -params.sigma - 1.0
-    upper_seq = [upper]
-    lower_seq = [lower]
-    for _ in range(rounds):
+    for done in range(1, rounds + 1):
         upper = best_response_cutoff(params, r, upper)
         lower = best_response_cutoff(params, r, lower)
-        upper_seq.append(upper)
-        lower_seq.append(lower)
         if upper - lower <= tol:
             break
     converged = upper - lower <= tol
     trace = DominanceTrace(
-        upper_seq=tuple(upper_seq),
-        lower_seq=tuple(lower_seq),
+        rounds=done,
+        final_bracket=(lower, upper),
         converged=converged,
         contraction_modulus=1.0 / (1.0 + 2.0 * params.sigma),
     )
@@ -221,7 +217,7 @@ def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibr
     recurrence with its arithmetic, stops at its own round, and gets its
     bits. Returns the thresholds, with array fields of the broadcast shape
     (floats for scalar inputs), and the rounds each element took as an int
-    array of that shape: len(trace.upper_seq) - 1 of the scalar solver.
+    array of that shape: the scalar solver's trace.rounds.
 
     Refuses what the scalar solver refuses, with its messages: the first
     refused sigma in order before any round is run, then the first element
@@ -233,6 +229,7 @@ def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibr
         raise DomainError("r must lie in [0,1]")
     if not np.all(sigmas > 0.0):
         raise DomainError("sigma must be positive")
+    require_tolerance(tol)
     budgets = np.array([_round_budget(s, tol) for s in sigmas.ravel().tolist()], dtype=np.int64)
     shape = np.broadcast_shapes(sigmas.shape, policies.shape)
 

@@ -12,8 +12,8 @@ class DomainError(RegimeLabError, ValueError):
 class ConvergenceError(RegimeLabError, RuntimeError):
     """An iterative procedure exhausted its iteration budget.
 
-    Instances may carry a ``trace`` attribute with the partial iteration
-    history for post-mortem inspection.
+    Instances may carry a ``trace`` attribute with the rounds run and the
+    bracket at the stall, for post-mortem inspection.
     """
 
 

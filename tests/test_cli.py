@@ -108,7 +108,7 @@ class TestContinuationCommand:
 
     def test_iterated_tolerance_wider_than_the_start_takes_one_round(self):
         eq, trace = solve_iterated_dominance(ModelParams(1e-320, 0.2), 0.5, tol=1e300)
-        assert len(trace.upper_seq) == 2 and eq.theta_cutoff == 0.5
+        assert trace.rounds == 1 and eq.theta_cutoff == 0.5
 
     def test_csv_schema(self, capsys):
         code = run(["continuation", "--sigma", "0.5", "--r", "0.25"])

@@ -1,5 +1,7 @@
 """Fixed-policy continuation game: closed form vs iterated dominance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ def bisect_fall_threshold(params, x_cutoff):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def replay_elimination(params, r, trace):
+    """Iterate best_response_cutoff from the solver's start for trace.rounds rounds.
+
+    Returns the upper and lower cutoff sequences, start included, after
+    checking that their last pair is the trace's final bracket bit for bit.
+    """
+    uppers = [1.0 + params.sigma + 1.0]
+    lowers = [-params.sigma - 1.0]
+    for _ in range(trace.rounds):
+        uppers.append(best_response_cutoff(params, r, uppers[-1]))
+        lowers.append(best_response_cutoff(params, r, lowers[-1]))
+    assert bits((lowers[-1], uppers[-1])).tolist() == bits(trace.final_bracket).tolist()
+    return uppers, lowers
 
 
 class TestClosedForm:
@@ -140,15 +157,15 @@ class TestIteratedDominance:
 
     def test_upper_sequence_strictly_decreasing_until_tol(self):
         _, trace = solve_iterated_dominance(HALF, 0.25, tol=1e-9)
-        diffs = np.diff(trace.upper_seq)
+        uppers, _ = replay_elimination(HALF, 0.25, trace)
+        diffs = np.diff(uppers)
         assert np.all(diffs[:-1] < 0.0)
         assert diffs[-1] <= 0.0
 
     def test_trace_invariants(self):
         for r in (0.0, 0.25, 0.5, 1.0):
             _, trace = solve_iterated_dominance(WIDE, r)
-            uppers = trace.upper_seq
-            lowers = trace.lower_seq
+            uppers, lowers = replay_elimination(WIDE, r, trace)
             assert all(b <= a for a, b in zip(uppers, uppers[1:]))
             assert all(b >= a for a, b in zip(lowers, lowers[1:]))
             assert all(lo <= up for lo, up in zip(lowers, uppers))
@@ -172,7 +189,20 @@ class TestIteratedDominance:
             solve_iterated_dominance(HALF, 0.05, 1e-16)
         trace = excinfo.value.trace
         assert trace.converged is False
-        assert len(trace.upper_seq) == 58
+        assert trace.rounds == 57
+        assert trace.final_bracket == (1.4, 1.4000000000000001)
+
+    def test_memory_does_not_grow_with_the_rounds(self):
+        # 10,373 rounds: keeping each round's bracket would take about 830 KB.
+        params = ModelParams(sigma=1e-3, r_lower=0.2)
+        tracemalloc.start()
+        try:
+            _, trace = solve_iterated_dominance(params, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.rounds == 10_373
+        assert peak < 64 * 1024
 
     def test_invalid_config_rejected(self):
         for tol in (0.0, -1e-9, float("nan"), float("inf")):
@@ -185,7 +215,8 @@ class TestIteratedDominance:
         for r in (0.0, 0.25, 0.5, 1.0):
             eq, trace = solve_iterated_dominance(params, r)
             assert trace.converged
-            assert trace.upper_seq[-1] - trace.lower_seq[-1] <= SOLVER_TOL
+            lower, upper = trace.final_bracket
+            assert upper - lower <= SOLVER_TOL
             # theta_cutoff = 1 - r needs no cancellation at any sigma.
             assert eq.theta_cutoff == pytest.approx(1.0 - r, abs=SOLVER_TOL)
 
@@ -214,14 +245,14 @@ class TestBatchedDominance:
                 scalar, trace = solve_iterated_dominance(ModelParams(sigma, 0.2), _POLICIES[j])
                 assert bits(eq.x_cutoff[i, j]) == bits(scalar.x_cutoff), (sigma, j)
                 assert bits(eq.theta_cutoff[i, j]) == bits(scalar.theta_cutoff), (sigma, j)
-                assert rounds[i, j] == len(trace.upper_seq) - 1, (sigma, j)
+                assert rounds[i, j] == trace.rounds, (sigma, j)
 
     def test_scalar_inputs_give_floats(self):
         eq, rounds = iterated_cutoffs(0.5, 0.25)
         scalar, trace = solve_iterated_dominance(HALF, 0.25)
         assert type(eq.x_cutoff) is float and type(eq.theta_cutoff) is float
         assert (eq.x_cutoff, eq.theta_cutoff) == (scalar.x_cutoff, scalar.theta_cutoff)
-        assert rounds == len(trace.upper_seq) - 1
+        assert rounds == trace.rounds
 
     def test_rounding_stall_raises_the_scalar_message(self):
         message = "cutoff bracket still 2.220e-16 wide after 60 iterations (tol=1.0e-17)"
@@ -267,6 +298,14 @@ class TestBatchedDominance:
     def test_empty_batch(self):
         eq, rounds = iterated_cutoffs(np.empty((0, 1)), _POLICIES)
         assert eq.x_cutoff.shape == rounds.shape == (0, 21)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, 0.0, np.inf])
+def test_empty_batch_refuses_the_scalar_solvers_tolerances(tol):
+    with pytest.raises(DomainError, match="^tol must be positive and finite$"):
+        solve_iterated_dominance(HALF, 0.5, tol)
+    with pytest.raises(DomainError, match="^tol must be positive and finite$"):
+        iterated_cutoffs([], 0.5, tol=tol)
 
 
 class TestEquilibriumIdentities:
