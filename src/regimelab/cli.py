@@ -10,15 +10,16 @@ Six subcommands map onto the solver modules:
     verify         cross-checking suite over a parameter grid
 
 Outputs are CSV (default) or JSON, to stdout or --out. Numbers carry 9
-significant digits and both formats start from their .9g text. CSV writes
-that text; JSON writes it too where it has a decimal point and no exponent,
-and elsewhere the shortest float repr of the rounded value, so 1e9 is
-1e+09 in CSV and 1000000000.0 in JSON.
-CSV uses a header row; both are UTF-8 with LF line endings and JSON is laid
-out as json.dumps(indent=2) lays it out. A verify max_error that is not
-finite is null in JSON and an empty CSV cell. Tables are written in blocks of
-at most 16,384 rows as they are formatted. --out is opened at the first write;
-an error after it removes the partial file if it is a regular one.
+significant digits. CSV writes a float's .9g text; JSON writes the shortest
+float repr of the rounded value, which is the {:.9} text (.9g with a digit
+after any point) where that has no exponent, so 1e9 is 1e+09 in CSV and
+1000000000.0 in JSON. CSV uses a header row; both are UTF-8 with LF line
+endings and JSON is laid out as json.dumps(indent=2) lays it out. A verify
+max_error that is not finite is null in JSON and an empty CSV cell. Tables
+are written in blocks of at most 16,384 rows as they are formatted, a column
+at a time: one format call per float column, one join per block. --out is
+opened at the first write; an error after it removes the partial file if it
+is a regular one, and a closed stdout pipe ends the process silently.
 Theta grids are written lo:hi:step, whose points never pass hi (hi itself
 is included when the span is a whole number of steps), or as a single
 number. Every number must be finite. A flat key=value file passed via
@@ -32,9 +33,9 @@ import argparse
 import json
 import math
 import os
+import signal
 import stat
 import sys
-from itertools import repeat, starmap
 from operator import attrgetter
 
 import numpy as np
@@ -209,91 +210,92 @@ class _Options:
 _NOT_FINITE = "result is not finite; JSON has no encoding for it"
 
 
-def _json_number(text: str) -> str:
-    """The shortest float repr of a .9g text that has no point or has an exponent.
+def _cells(column) -> list:
+    """A column's cells: a float array's floats, an enum array's member values, else the column."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return list(map(attrgetter("_value_"), column)) if column.dtype == object else column.tolist()
 
-    inf, -inf and nan have no point, so every non-finite cell ends up here.
-    """
-    value = float(text)
-    if not math.isfinite(value):
-        raise DomainError(_NOT_FINITE)
-    return repr(value)
+
+def _looked_up(cells, encode) -> list[str]:
+    """encode of each cell, called once per distinct one: a region or verdict column has a few."""
+    lookup = {cell: encode(cell) for cell in set(cells)}
+    return list(map(lookup.__getitem__, cells))
+
+
+def _csv_cells(cells) -> list[str]:
+    """CSV text of each cell of one column: a float's 9 significant digits, else its str."""
+    if isinstance(cells[0], float):
+        return ("{:.9g}\n" * len(cells)).format(*cells).split()
+    return _looked_up(cells, str)
 
 
 def _json_cells(cells) -> list[str]:
     """JSON text of each cell of one column, whose cells share the first one's type.
 
     A float is rounded to 9 significant digits and written as the shortest
-    repr of that rounding, which is what json.dumps prints for it. A .9g
-    text in fixed notation with a point already is that repr: it has at most
-    9 digits, no other decimal that short lies within an ulp of it, and repr
-    keeps fixed notation for exponents in [-4, 16), which hold .9g's [-4, 9).
+    repr of that rounding, which is what json.dumps prints for it. The
+    column is formatted by one "{:.9}" call: .9g with a digit after any
+    point (3.0, not 3), which switches to an exponent from exponent 8 up. A
+    text without an exponent is that repr: it has at most 9 digits, no other
+    decimal that short lies within an ulp of it, and repr keeps fixed
+    notation for exponents in [-4, 16). A text with one is fixed up through
+    float and repr; an n (inf, nan) is refused.
     """
-    first = cells[0]
-    if isinstance(first, float):
-        return [
-            _json_number(text) if "." not in text or "e" in text else text
-            for text in map("{:.9g}".format, cells)
-        ]
-    if isinstance(first, str):
-        # A str column repeats a few values, such as region names: dump each once.
-        lookup = {cell: json.dumps(cell) for cell in set(cells)}
-        return list(map(lookup.__getitem__, cells))
-    return list(map(json.dumps, cells))
+    if not isinstance(cells[0], float):
+        return _looked_up(cells, json.dumps)
+    text = ("{:.9}\n" * len(cells)).format(*cells)
+    if "n" in text:
+        raise DomainError(_NOT_FINITE)
+    if "e" in text:
+        return [repr(float(cell)) if "e" in cell else cell for cell in text.split()]
+    return text.split()
 
 
-def _csv_field(cell) -> str:
-    """The CSV format field of a cell: 9 significant digits for a float, else str."""
-    return "{:.9g}" if isinstance(cell, float) else "{}"
+def _layout(names, columns, constants: dict, fmt: str, lead: str, indent: str = "  ") -> str:
+    """The text of a block of rows after lead: CSV lines, or JSON objects joined by commas.
 
-
-def _rows(*columns) -> list[tuple]:
-    """The rows of a table given as column arrays: floats of a float array, and
-    the values (read from _value_) of an object array of enum members."""
-    return list(zip(*(
-        map(attrgetter("_value_"), col) if col.dtype == object else col.tolist()
-        for col in columns
-    )))
-
-
-def _template_fields(columns: tuple[str, ...], constants: dict, encode, slots) -> list[str]:
-    """Each column's text in a row template: its constant encoded once, else the next slot."""
-    baked = {col: encode(v).replace("{", "{{").replace("}", "}}") for col, v in constants.items()}
-    slots = iter(slots)
-    return [baked[col] if col in baked else next(slots) for col in columns]
-
-
-def _json_text(columns: tuple[str, ...], rows: list[tuple], constants: dict, single: bool) -> str:
-    """The objects of rows in a JSON array, joined by commas, or the one row's object when single.
-
-    The layout is json.dumps(indent=2)'s, from one template that the rows fill.
+    names are the table's columns; constants maps some of them to the cell
+    every row shares, which is encoded once into the literal text between
+    cells, and columns holds the others in names order, all of one length.
+    JSON follows json.dumps(indent=2), objects indented by indent. Every
+    cell is encoded before any text is laid out.
     """
-    indent = "" if single else "  "
-    fields = _template_fields(columns, constants, lambda v: _json_cells([v])[0], repeat("{}"))
-    template = f"{indent}{{{{\n" + ",\n".join(
-        f"{indent}  {json.dumps(col)}: {field}" for col, field in zip(columns, fields)
-    ) + f"\n{indent}}}}}"
-    objects = starmap(template.format, zip(*map(_json_cells, zip(*rows))))
-    return next(objects) + "\n" if single else ",\n".join(objects)
+    encode = _csv_cells if fmt == "csv" else _json_cells
+    texts = [encode(_cells(column)) for column in columns]
+    if fmt == "csv":
+        head, keys, sep, tail, between = "", [""] * len(names), ",", "\n", ""
+    else:
+        head, sep, tail, between = f"{indent}{{\n", ",\n", f"\n{indent}}}", ",\n"
+        keys = [f"{indent}  {json.dumps(name)}: " for name in names]
+    # A row is literal, cell, literal, cell, ..., then literal: pieces holds
+    # the literals before the cells, with a None slot after each.
+    pieces, literal = [], head
+    for i, name in enumerate(names):
+        literal += (sep if i else "") + keys[i]
+        if name in constants:
+            literal += encode([constants[name]])[0]
+        else:
+            pieces += (literal, None)
+            literal = ""
+    first = pieces[0]
+    pieces[0] = literal + tail + between + first
+    parts = pieces * len(texts[0])
+    parts[0] = lead + first
+    for m, cells in enumerate(texts):
+        parts[2 * m + 1 :: len(pieces)] = cells
+    parts.append(literal + tail)
+    return "".join(parts)
 
 
-def _emit_rows(command: str, rows: list[tuple], fmt: str, out, lead: str, **constants) -> None:
+def _emit_rows(command: str, *columns, fmt: str, out, lead: str, **constants) -> None:
     """Format one block of a table and write it, after lead, to the open stream out.
 
-    constants are the cells every row of the block shares, by column name,
-    encoded once by fmt's cell rule and baked into the block's template.
-    Each row holds the other cells in _COLUMNS order, with the cell types
-    of the first row. Nothing is written unless every cell encodes.
+    columns are the block's varying columns in _COLUMNS order, all as long
+    as the block; constants are the cells every row of the block shares, by
+    column name. Nothing is written unless every cell encodes.
     """
-    columns = _COLUMNS[command]
-    if fmt == "csv":
-        fields = _template_fields(
-            columns, constants, lambda v: _csv_field(v).format(v), map(_csv_field, rows[0])
-        )
-        body = "".join(starmap((",".join(fields) + "\n").format, rows))
-    else:
-        body = _json_text(columns, rows, constants, False)
-    _write_text(lead + body, out)
+    _write_text(_layout(_COLUMNS[command], columns, constants, fmt, lead), out)
 
 
 def _write_text(text: str, out) -> None:
@@ -328,13 +330,14 @@ class _Output:
 def _write_table(command: str, fmt: str, path: str | None, blocks, **constants) -> None:
     """Write a table to path (stdout if None), each block as it arrives.
 
-    blocks yields (rows, own): non-empty rows for _emit_rows, and the
-    constants of that block alone, baked in beside the table's constants.
+    blocks yields (columns, own): the varying columns of a non-empty block
+    for _emit_rows, and the constants of that block alone, baked in beside
+    the table's constants.
     """
     lead = ",".join(_COLUMNS[command]) + "\n" if fmt == "csv" else "[\n"
     with _Output(path) as out:
-        for rows, own in blocks:
-            _emit_rows(command, rows, fmt, out, lead, **constants, **own)
+        for columns, own in blocks:
+            _emit_rows(command, *columns, fmt=fmt, out=out, lead=lead, **constants, **own)
             lead = "" if fmt == "csv" else ",\n"
         if fmt == "json":
             _write_text("[]\n" if lead == "[\n" else "\n]\n", out)
@@ -344,10 +347,11 @@ def _write_table(command: str, fmt: str, path: str | None, blocks, **constants) 
 
 def _write_record(command: str, row: tuple, fmt: str, path: str | None, **json_only) -> None:
     """Write a one-row table: its CSV header and row, or its one JSON object."""
+    columns = [[cell] for cell in row]
     if fmt == "csv":
-        _write_table(command, "csv", path, [([row], {})])
+        _write_table(command, "csv", path, [(columns, {})])
         return
-    text = _json_text((*_COLUMNS[command], *json_only), [row], json_only, True)
+    text = _layout((*_COLUMNS[command], *json_only), columns, json_only, "json", "", "") + "\n"
     with _Output(path) as out:
         _write_text(text, out)
 
@@ -412,9 +416,7 @@ def _cmd_welfare_sweep(opts: _Options) -> int:
     params = _params_from(opts)
     r_primes = _parse_float_list(opts.require("rprime"), "rprime")
     thetas = _parse_theta_spec(opts.require("theta"))
-    blocks = (
-        (_rows(*cols), {"rprime": r_prime}) for r_prime, *cols in sweep(params, r_primes, thetas)
-    )
+    blocks = ((cols, {"rprime": r_prime}) for r_prime, *cols in sweep(params, r_primes, thetas))
     _write_table(
         "welfare-sweep", _format_from(opts), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower,
@@ -428,7 +430,7 @@ def _cmd_compare(opts: _Options) -> int:
     r_high = _parse_float(opts.require("rprime_hi"), "rprime-hi")
     thetas = _parse_theta_spec(opts.require("theta"))
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
-    blocks = ((_rows(*cols), {}) for cols in compare_slices(params, r_low, r_high, thetas, tol))
+    blocks = ((cols, {}) for cols in compare_slices(params, r_low, r_high, thetas, tol))
     _write_table(
         "compare", _format_from(opts), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower, rprime=r_low, rprime_hi=r_high,
@@ -467,15 +469,10 @@ def _cmd_simulate(opts: _Options) -> int:
         outcome = simulate_continuation(params, policy, thetas, cutoff, config)
     else:
         raise DomainError("pass either --r (continuation) or --rprime (signaling)")
-    rows = _rows(
-        thetas,
-        outcome.alpha_mean,
-        outcome.alpha_halfwidth,
-        outcome.fall_frequency,
-        outcome.welfare_mean,
-    )
+    columns = (thetas, outcome.alpha_mean, outcome.alpha_halfwidth, outcome.fall_frequency,
+               outcome.welfare_mean)
     _write_table(
-        "simulate", _format_from(opts), opts.get("out"), [(rows, {})],
+        "simulate", _format_from(opts), opts.get("out"), [(columns, {})],
         sigma=params.sigma, rbar=params.r_lower, mode=mode, r=policy, x_cutoff=cutoff,
         n_agents=config.n_agents, n_reps=config.n_reps, seed=config.master_seed,
     )
@@ -500,7 +497,7 @@ def _cmd_verify(opts: _Options) -> int:
              "" if res.max_error is None else f"{res.max_error:.9g}", res.tolerance)
             for res in report.results
         ]
-        _write_table("verify", "csv", opts.get("out"), [(rows, {})])
+        _write_table("verify", "csv", opts.get("out"), [(list(zip(*rows)), {})])
     else:
         try:
             text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
@@ -603,6 +600,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # A closed stdout pipe (`| head`) ends the process silently, as it ends Unix filters.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from regimelab import (
 from regimelab.cli import (
     _COLUMNS,
     _build_parser,
+    _csv_cells,
     _json_cells,
     _parse_theta_spec,
     _write_record,
@@ -824,7 +826,8 @@ def _compare_table(theta_cell, welfare):
 def _written(command, blocks, fmt, **constants) -> str:
     """The text _write_table writes to stdout for blocks, a list of (rows, block constants)."""
     with contextlib.redirect_stdout(io.StringIO()) as buf:
-        _write_table(command, fmt, None, blocks, **constants)
+        _write_table(command, fmt, None, [(list(zip(*rows)), own) for rows, own in blocks],
+                     **constants)
     return buf.getvalue()
 
 
@@ -835,7 +838,7 @@ class TestJsonEncoder:
         rows, constants = _compare_table(*((bad, 0.25) if where == "varying" else (0.5, bad)))
         out = tmp_path / "out.json"
         with pytest.raises(DomainError, match="^result is not finite"):
-            _write_table("compare", "json", str(out), [(rows, {})], **constants)
+            _write_table("compare", "json", str(out), [(list(zip(*rows)), {})], **constants)
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -850,7 +853,9 @@ class TestJsonEncoder:
         second = (bad_rows, {"welfare": bad if where == "constant" else welfare})
         with contextlib.redirect_stdout(io.StringIO()) as buf:
             with pytest.raises(DomainError, match="^result is not finite"):
-                _write_table("compare", "json", None, [first, second], **constants)
+                _write_table("compare", "json", None,
+                             [(list(zip(*rows)), own) for rows, own in (first, second)],
+                             **constants)
         whole_first = _written("compare", [first], "json", **constants)
         assert whole_first.endswith("\n]\n")
         assert buf.getvalue() == whole_first[: -len("\n]\n")]
@@ -929,9 +934,43 @@ class TestJsonNumberText:
         welfare = bad if where == "constant" else 0.25
         out = tmp_path / "out.json"
         with pytest.raises(DomainError, match="^result is not finite"):
-            _write_table("compare", "json", str(out), [(rows, {})], sigma=3.0, rbar=0.2,
-                         rprime=0.8, welfare=welfare, rprime_hi=0.9)
+            _write_table("compare", "json", str(out), [(list(zip(*rows)), {})], sigma=3.0,
+                         rbar=0.2, rprime=0.8, welfare=welfare, rprime_hi=0.9)
         assert not out.exists()
+
+
+# Float columns in which integral, exponent, subnormal and signed-zero cells
+# sit next to each other, so a column encoder that shifted a text from one
+# cell to the next, or fixed up the wrong one, fails.
+_FLOAT_COLUMNS = st.lists(
+    st.sampled_from(_NUMBER_EDGES) | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=2,
+)
+
+
+class TestColumnText:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=_FLOAT_COLUMNS)
+    @example(cells=_NUMBER_EDGES)
+    def test_json_column_is_the_repr_of_each_nine_digit_rounding(self, cells):
+        assert _json_cells(cells) == [repr(float(f"{v:.9g}")) for v in cells]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=_FLOAT_COLUMNS)
+    @example(cells=_NUMBER_EDGES)
+    def test_csv_column_is_each_nine_digit_text(self, cells):
+        assert _csv_cells(cells) == [f"{v:.9g}" for v in cells]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=_FLOAT_COLUMNS,
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        at=st.integers(0, 2**16),
+    )
+    def test_non_finite_cell_anywhere_in_a_json_column_raises(self, cells, bad, at):
+        at %= len(cells) + 1
+        with pytest.raises(DomainError, match="^result is not finite"):
+            _json_cells([*cells[:at], bad, *cells[at:]])
 
 
 # Cell strategies of one type each: a table column holds cells of one type.
@@ -1036,6 +1075,53 @@ def test_python_dash_m_regimelab_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "sigma,r,x_cutoff,theta_cutoff\n0.5,0.25,1,0.75\n"
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_pipe_ends_the_process_silently():
+    # About 840 kB of CSV, far past a pipe's buffer: the writes go on after
+    # the reader, like `| head -1`, has taken one line and closed the pipe.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "regimelab", "welfare-sweep", "--sigma", "3", "--rbar", "0.2",
+         "--rprime", "0.5,0.8,1.0", "--theta", "0:7:0.001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"sigma,rbar,rprime,theta,region,attack,welfare\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert stderr == b""
+
+
+def test_traced_blocks_count_the_rows_and_write_strs(monkeypatch, tmp_path):
+    # The benchmark's tracer wraps these two on the module: it counts rows as
+    # len() of _emit_rows' first argument after the command, and bytes by
+    # encoding each _write_text argument.
+    import regimelab.cli as cli
+
+    emit, write = cli._emit_rows, cli._write_text
+    rows, texts = [], []
+
+    def traced_emit(*args, **kwargs):
+        rows.append(len(args[1]))
+        return emit(*args, **kwargs)
+
+    def traced_write(*args, **kwargs):
+        texts.append(args[0])
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit_rows", traced_emit)
+    monkeypatch.setattr(cli, "_write_text", traced_write)
+    out = tmp_path / "sweep.csv"
+    # 35,001 theta per r', written in three blocks each.
+    assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8",
+                "--theta", "0:7:0.0002", "--out", str(out)]) == 0
+    assert len(rows) == 6
+    assert sum(rows) == 2 * 35_001 == len(out.read_text().splitlines()) - 1
+    assert texts and all(type(text) is str for text in texts)
 
 
 # Each subcommand's long options besides --format, --out and --config.
