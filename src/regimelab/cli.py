@@ -16,13 +16,16 @@ after any point) where that has no exponent, so 1e9 is 1e+09 in CSV and
 1000000000.0 in JSON. CSV uses a header row; both are UTF-8 with LF line
 endings and JSON is laid out as json.dumps(indent=2) lays it out. A verify
 max_error that is not finite is null in JSON and an empty CSV cell. Tables
-are written in blocks of at most 16,384 rows as they are formatted, a column
-at a time: one format call per float column, one join per block. --out is
-opened at the first write; an error after it removes the partial file if it
-is a regular one, and a closed stdout pipe ends the process silently.
-Theta grids are written lo:hi:step, whose points never pass hi (hi itself
-is included when the span is a whole number of steps), or as a single
-number. Every number must be finite. A flat key=value file passed via
+are written in blocks of at most 16,384 rows as they are formatted: a CSV
+block by one % call over a row template (%.9g or %s per varying column)
+and one flat tuple of its cells, a JSON block a column at a time, one
+format call per float column and one join per block. --out is opened at
+the first write; an error after it removes the partial file if it is a
+regular one. A write that fails is one "cannot write" error line and exit
+2; a closed stdout pipe ends the process silently. Theta grids are written
+lo:hi:step, whose points never pass hi (hi itself is included when the
+span is a whole number of steps), or as a single number. Every number,
+read or written, must be finite. A flat key=value file passed via
 --config supplies defaults; explicit flags win. Exit codes: 0 success,
 1 verification failures, 2 usage or domain errors.
 """
@@ -207,7 +210,7 @@ class _Options:
 # output
 
 
-_NOT_FINITE = "result is not finite; JSON has no encoding for it"
+_NOT_FINITE = "result is not finite; CSV and JSON carry finite numbers only"
 
 
 def _cells(column) -> list:
@@ -223,11 +226,24 @@ def _looked_up(cells, encode) -> list[str]:
     return list(map(lookup.__getitem__, cells))
 
 
+def _csv_slot(column) -> str:
+    """The % conversion of a CSV column: %.9g for floats, which must all be finite; else %s.
+
+    %.9g gives the text of format(v, ".9g"), as both are CPython's 'g'
+    conversion at 9 significant digits, and %s gives str(v). Floats are
+    checked on the column as it comes, for a block a float64 array.
+    """
+    if not isinstance(column[0], float):
+        return "%s"
+    if not np.isfinite(column).all():
+        raise DomainError(_NOT_FINITE)
+    return "%.9g"
+
+
 def _csv_cells(cells) -> list[str]:
     """CSV text of each cell of one column: a float's 9 significant digits, else its str."""
-    if isinstance(cells[0], float):
-        return ("{:.9g}\n" * len(cells)).format(*cells).split()
-    return _looked_up(cells, str)
+    slot = _csv_slot(cells)
+    return [slot % (cell,) for cell in cells]
 
 
 def _json_cells(cells) -> list[str]:
@@ -253,34 +269,45 @@ def _json_cells(cells) -> list[str]:
 
 
 def _layout(names, columns, constants: dict, fmt: str, lead: str, indent: str = "  ") -> str:
-    """The text of a block of rows after lead: CSV lines, or JSON objects joined by commas.
+    """lead, then the text of a block of rows: CSV lines, or JSON objects joined by commas.
 
     names are the table's columns; constants maps some of them to the cell
     every row shares, which is encoded once into the literal text between
     cells, and columns holds the others in names order, all of one length.
-    JSON follows json.dumps(indent=2), objects indented by indent. Every
-    cell is encoded before any text is laid out.
+    CSV is one % call over a row template, the literal text with every %
+    doubled and a _csv_slot conversion per column, repeated once per row;
+    its arguments are the cells, row by row in one flat tuple. JSON follows
+    json.dumps(indent=2), objects indented by indent, and is joined from
+    the cell texts. Every cell is checked or encoded before any text is
+    laid out.
     """
-    encode = _csv_cells if fmt == "csv" else _json_cells
-    texts = [encode(_cells(column)) for column in columns]
+    n = len(columns[0])
     if fmt == "csv":
-        head, keys, sep, tail, between = "", [""] * len(names), ",", "\n", ""
-    else:
-        head, sep, tail, between = f"{indent}{{\n", ",\n", f"\n{indent}}}", ",\n"
-        keys = [f"{indent}  {json.dumps(name)}: " for name in names]
+        row, flat, m = [], [None] * (n * len(columns)), 0
+        for name in names:
+            if name in constants:
+                row.append(_csv_cells([constants[name]])[0].replace("%", "%%"))
+            else:
+                row.append(_csv_slot(columns[m]))
+                flat[m :: len(columns)] = _cells(columns[m])
+                m += 1
+        flat = tuple(flat)  # the list is freed before the text is made
+        return lead + (",".join(row) + "\n") * n % flat
+    texts = [_json_cells(_cells(column)) for column in columns]
+    head, sep, tail, between = f"{indent}{{\n", ",\n", f"\n{indent}}}", ",\n"
     # A row is literal, cell, literal, cell, ..., then literal: pieces holds
     # the literals before the cells, with a None slot after each.
     pieces, literal = [], head
     for i, name in enumerate(names):
-        literal += (sep if i else "") + keys[i]
+        literal += (sep if i else "") + f"{indent}  {json.dumps(name)}: "
         if name in constants:
-            literal += encode([constants[name]])[0]
+            literal += _json_cells([constants[name]])[0]
         else:
             pieces += (literal, None)
             literal = ""
     first = pieces[0]
     pieces[0] = literal + tail + between + first
-    parts = pieces * len(texts[0])
+    parts = pieces * n
     parts[0] = lead + first
     for m, cells in enumerate(texts):
         parts[2 * m + 1 :: len(pieces)] = cells
@@ -304,27 +331,49 @@ def _write_text(text: str, out) -> None:
 
 class _Output:
     """stdout, or the file at path: opened (so truncated) at the first write, and
-    removed if an error follows that write and it is a regular file, not a device or FIFO."""
+    removed if an error follows that write and it is a regular file, not a device or FIFO.
+
+    An OSError in writing, or in the flush or close that ends the output,
+    is raised as a DomainError naming the target. stdout is flushed only
+    when it is the target.
+    """
 
     def __init__(self, path: str | None):
         self.path, self.fh = path, sys.stdout if path is None else None
+        self.name = "stdout" if path is None else path
 
     def write(self, text: str) -> None:
-        if self.fh is None:
-            try:
+        try:
+            if self.fh is None:
                 self.fh = open(self.path, "w", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise DomainError(f"cannot write {self.path}: {exc.strerror}")
-        self.fh.write(text)
+            self.fh.write(text)
+        except OSError as exc:
+            raise _cannot_write(self.name, exc)
 
     def __enter__(self) -> _Output:
         return self
 
     def __exit__(self, kind, error, tb) -> None:
-        if self.path is not None and self.fh is not None:
-            if kind is not None and stat.S_ISREG(os.fstat(self.fh.fileno()).st_mode):
-                os.remove(self.path)
-            self.fh.close()
+        if self.fh is None:
+            return
+        regular = self.path is not None and stat.S_ISREG(os.fstat(self.fh.fileno()).st_mode)
+        failure = None
+        try:
+            # Text is buffered, so its last part is written, or fails, here.
+            if self.path is None:
+                self.fh.flush()
+            else:
+                self.fh.close()
+        except OSError as exc:
+            failure = _cannot_write(self.name, exc)
+        if regular and (kind is not None or failure is not None):
+            os.remove(self.path)
+        if kind is None and failure is not None:
+            raise failure
+
+
+def _cannot_write(name: str, exc: OSError) -> DomainError:
+    return DomainError(f"cannot write {name}: {exc.strerror or exc}")
 
 
 def _write_table(command: str, fmt: str, path: str | None, blocks, **constants) -> None:
@@ -603,7 +652,17 @@ def main() -> None:
     # A closed stdout pipe (`| head`) ends the process silently, as it ends Unix filters.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # What stdout still holds cannot be written. fd 1 goes to the null
+        # device, so the interpreter's flush at exit does not fail on it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:  # a run that exits 2 has reported its error already
+            print(f"error: {_cannot_write('stdout', exc)}", file=sys.stderr)
+            code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

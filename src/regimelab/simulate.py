@@ -188,6 +188,20 @@ def _attack_fractions(
     return alphas
 
 
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """The mean of each row of values, np.mean's bit for bit wherever that is finite.
+
+    A row of finite values whose sum overflows has a finite mean, taken as
+    the sum of the values each divided by the row length.
+    """
+    with np.errstate(over="ignore"):
+        means = np.mean(values, axis=1)
+    over = np.isinf(means) & np.isfinite(values).all(axis=1)
+    if over.any():
+        means[over] = np.sum(values[over] / values.shape[1], axis=1)
+    return means
+
+
 def _outcome(
     params: ModelParams, r: float | np.ndarray, theta, alphas: np.ndarray
 ) -> SimOutcome:
@@ -205,10 +219,10 @@ def _outcome(
     else:
         halfwidth = np.zeros(len(alphas))
     fields = (
-        np.mean(alphas, axis=1),
+        _row_means(alphas),
         halfwidth,
         np.count_nonzero(falls, axis=1) / n,
-        np.mean(welfare, axis=1),
+        _row_means(welfare),
     )
     return SimOutcome(*(float_or_array(f.reshape(np.shape(theta))) for f in fields))
 

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regimelab import (
@@ -405,6 +406,39 @@ class TestStreamedTables:
         assert not out.parent.exists()
 
 
+    def test_write_error_on_a_regular_out_file_exits_2_and_removes_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The second block's write fails as on a full disk: one line, exit 2,
+        # and the partial file is removed as after any error that follows a write.
+        import regimelab.cli as cli
+
+        class FillingFile(io.StringIO):
+            def __init__(self, path, *args, **kwargs):
+                super().__init__()
+                self.real = open(path, *args, **kwargs)
+
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+            def fileno(self):
+                return self.real.fileno()
+
+            def close(self):
+                self.real.close()
+                super().close()
+
+        monkeypatch.setattr(cli, "open", FillingFile, raising=False)
+        out = tmp_path / "out.csv"
+        assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_continuation_mode_row(self, capsys):
         code = run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
@@ -485,6 +519,21 @@ class TestSimulateCommand:
         assert captured.err == f"error: {cells} exceeds 20,000,000 simulated cells\n"
         assert draws == []
         assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_welfare_mean_whose_sum_overflows_is_written(self, fmt, capsys):
+        # Two replications of welfare near 1e308: their sum overflows, their
+        # mean does not. It used to print inf (CSV) or exit 2 (JSON), with a
+        # numpy overflow warning either way.
+        code = run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.5",
+                    "--theta", "1e308", "--agents", "100", "--reps", "2", "--format", fmt])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "csv":
+            assert captured.out.splitlines()[1].split(",")[-1] == "1e+308"
+        else:
+            assert '"welfare_mean": 1e+308\n' in captured.out
 
     def test_deterministic_csv(self, tmp_path):
         args = ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
@@ -973,6 +1022,101 @@ class TestColumnText:
             _json_cells([*cells[:at], bad, *cells[at:]])
 
 
+# CSV cells by kind. The strs hold %, { and } so that a template that read
+# a str constant as a conversion, or went through str.format, fails.
+_CSV_CELLS = {
+    "float": st.sampled_from(_NUMBER_EDGES) | st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(alphabet="%{}sdg.9-ab ", max_size=6),
+    "int": st.integers(-(2**63), 2**64 - 1),
+}
+
+
+def _csv_by_cell(command, rows) -> str:
+    """The CSV table of rows by the per-cell rule: a float's .9g text, else its str."""
+    lines = [",".join(_COLUMNS[command])]
+    lines += [",".join(f"{c:.9g}" if isinstance(c, float) else str(c) for c in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _csv_blocks(draw):
+    """A command, its full rows, its constants, and its varying columns cut into blocks.
+
+    A float column of a block comes as a float64 array, as a table's blocks
+    bring it, or as a tuple; other columns come as tuples.
+    """
+    command = draw(st.sampled_from(["welfare-sweep", "compare", "simulate"]))
+    names = _COLUMNS[command]
+    kinds = [draw(st.sampled_from(list(_CSV_CELLS))) for _ in names]
+    fixed = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names))
+                 .filter(lambda flags: not all(flags)))
+    constants = {n: draw(_CSV_CELLS[k]) for n, k, f in zip(names, kinds, fixed) if f}
+    varying = [(n, k) for n, k, f in zip(names, kinds, fixed) if not f]
+    n_rows = draw(st.integers(1, 40))
+    columns = {n: draw(st.lists(_CSV_CELLS[k], min_size=n_rows, max_size=n_rows))
+               for n, k in varying}
+    cuts = sorted(draw(st.sets(st.integers(1, n_rows - 1), max_size=3))) if n_rows > 1 else []
+    bounds = list(zip([0, *cuts], [*cuts, n_rows]))
+    as_array = draw(st.booleans())
+    full_rows = [tuple(constants[n] if n in constants else columns[n][i] for n in names)
+                 for i in range(n_rows)]
+    return command, full_rows, constants, varying, columns, bounds, as_array
+
+
+def _block_columns(varying, columns, lo, hi, as_array):
+    return [np.array(columns[n][lo:hi]) if as_array and kind == "float"
+            else tuple(columns[n][lo:hi]) for n, kind in varying]
+
+
+def _edge_table():
+    """welfare-sweep over _NUMBER_EDGES in three blocks, with % and { in a str constant and cells."""
+    n = len(_NUMBER_EDGES)
+    varying = [("rprime", "float"), ("theta", "float"), ("region", "str"), ("welfare", "float")]
+    cells = [list(_NUMBER_EDGES), _NUMBER_EDGES[::-1], ["%s", "{}", "100%"] * (n // 3) +
+             ["abandon"] * (n % 3), _NUMBER_EDGES[7:] + _NUMBER_EDGES[:7]]
+    columns = {name: column for (name, _), column in zip(varying, cells)}
+    constants = {"sigma": -0.0, "rbar": "%.9g{0}%%", "attack": 5e-324}
+    full_rows = [(-0.0, "%.9g{0}%%", r, t, g, 5e-324, w) for r, t, g, w in zip(*cells)]
+    return ("welfare-sweep", full_rows, constants, varying, columns,
+            [(0, 100), (100, 101), (101, n)], True)
+
+
+class TestCsvRowTemplate:
+    """A CSV block is one % call over a row template; it writes what the per-cell rule writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_csv_blocks())
+    @example(table=_edge_table())
+    def test_each_line_is_the_per_cell_rule(self, table):
+        command, full_rows, constants, varying, columns, bounds, as_array = table
+        blocks = [(_block_columns(varying, columns, lo, hi, as_array), {}) for lo, hi in bounds]
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            _write_table(command, "csv", None, blocks, **constants)
+        assert buf.getvalue().split("\n") == _csv_by_cell(command, full_rows).split("\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_csv_blocks(), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           pick=st.integers(0, 2**16))
+    def test_non_finite_cell_raises_before_its_block_is_written(self, table, bad, pick):
+        command, full_rows, constants, varying, columns, bounds, as_array = table
+        floats = [n for n, cell in zip(_COLUMNS[command], full_rows[0])
+                  if isinstance(cell, float)]
+        assume(floats)
+        name = floats[pick % len(floats)]
+        if name in constants:
+            constants[name], first_bad = bad, 0
+        else:
+            row = pick % len(full_rows)
+            columns[name][row] = bad
+            first_bad = next(b for b, (lo, hi) in enumerate(bounds) if lo <= row < hi)
+        blocks = [(_block_columns(varying, columns, lo, hi, as_array), {}) for lo, hi in bounds]
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            with pytest.raises(DomainError, match="^result is not finite"):
+                _write_table(command, "csv", None, blocks, **constants)
+        written = bounds[first_bad][0]
+        assert buf.getvalue() == (_csv_by_cell(command, full_rows[:written]) if written else "")
+
+
 # Cell strategies of one type each: a table column holds cells of one type.
 # Regions and verdicts reach a table as their values, which are strs.
 _CELLS = (
@@ -1096,32 +1240,84 @@ def test_a_closed_stdout_pipe_ends_the_process_silently():
     assert stderr == b""
 
 
-def test_traced_blocks_count_the_rows_and_write_strs(monkeypatch, tmp_path):
-    # The benchmark's tracer wraps these two on the module: it counts rows as
-    # len() of _emit_rows' first argument after the command, and bytes by
-    # encoding each _write_text argument.
+# A small run of each command. welfare-sweep writes about 300 kB, so its
+# write fails while the table is written; the others fail at the last flush.
+_SMALL_RUNS = {
+    "continuation": ["--sigma", "0.5", "--r", "0.25"],
+    "signaling": ["--sigma", "0.5", "--rbar", "0.2", "--rprime", "0.8"],
+    "welfare-sweep": ["--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--theta", "0:7:0.001"],
+    "compare": ["--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+                "--theta", "0:1:0.5"],
+    "simulate": ["--sigma", "0.5", "--rbar", "0.2", "--r", "0.25", "--theta", "1",
+                 "--agents", "10", "--reps", "2"],
+    "verify": ["--sigma", "0.5", "--rbar", "0.2"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["stdout", "out"])
+@pytest.mark.parametrize("command", _SMALL_RUNS)
+def test_a_full_device_exits_2_on_one_line(command, target, buffered):
+    # Every write to /dev/full fails with ENOSPC. It used to end in an
+    # OSError traceback and exit 1, or, with stdout buffered, in "Exception
+    # ignored" and exit 120.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "regimelab", command, *_SMALL_RUNS[command]]
+    with open("/dev/full", "w") as full:
+        if target == "out":
+            argv += ["--out", "/dev/full"]
+        proc = subprocess.run(argv, stdout=full if target == "stdout" else subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+    name = "stdout" if target == "stdout" else "/dev/full"
+    assert proc.stderr.decode() == f"error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
+    assert proc.returncode == 2
+    assert target == "stdout" or proc.stdout == b""
+
+
+def test_traced_blocks_count_the_rows_and_write_strs(monkeypatch, tmp_path, capfd):
+    # The benchmark's tracer runs the CLI in its own process and wraps these
+    # three on the module: it counts grid points as len() of
+    # _parse_theta_spec's result, rows as len() of _emit_rows' first argument
+    # after the command, and bytes by encoding each _write_text argument. The
+    # last line it prints is its result, so a run with --out writes nothing
+    # to fd 1.
     import regimelab.cli as cli
 
-    emit, write = cli._emit_rows, cli._write_text
-    rows, texts = [], []
+    parse, emit, write = cli._parse_theta_spec, cli._emit_rows, cli._write_text
+    grids, rows, sizes = [], [], []
+
+    def traced_parse(*args, **kwargs):
+        grid = parse(*args, **kwargs)
+        grids.append(len(grid))
+        return grid
 
     def traced_emit(*args, **kwargs):
         rows.append(len(args[1]))
         return emit(*args, **kwargs)
 
     def traced_write(*args, **kwargs):
-        texts.append(args[0])
+        sizes.append(len(args[0].encode("utf-8")))
         return write(*args, **kwargs)
 
+    monkeypatch.setattr(cli, "_parse_theta_spec", traced_parse)
     monkeypatch.setattr(cli, "_emit_rows", traced_emit)
     monkeypatch.setattr(cli, "_write_text", traced_write)
     out = tmp_path / "sweep.csv"
-    # 35,001 theta per r', written in three blocks each.
-    assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8",
+    # The benchmark's sweep at twice its step: 35,001 theta for each of three
+    # r', written in three blocks each.
+    assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
                 "--theta", "0:7:0.0002", "--out", str(out)]) == 0
-    assert len(rows) == 6
-    assert sum(rows) == 2 * 35_001 == len(out.read_text().splitlines()) - 1
-    assert texts and all(type(text) is str for text in texts)
+    assert grids == [35_001]
+    assert rows == [16_384, 16_384, 2_233] * 3
+    assert sum(rows) == 3 * 35_001 == len(out.read_text().splitlines()) - 1
+    assert sum(sizes) == out.stat().st_size
+    sys.stdout.flush()
+    assert capfd.readouterr().out == ""
 
 
 # Each subcommand's long options besides --format, --out and --config.

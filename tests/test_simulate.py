@@ -1,7 +1,9 @@
 """Finite-agent Monte Carlo against the continuum quantities."""
 
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from regimelab.simulate import (
     _STREAM_REPS,
     _attack_counts,
     _attack_fractions,
+    _row_means,
     _sub_seed,
     _thresholds,
 )
@@ -124,6 +127,28 @@ class TestSimulateSignaling:
 
 FIELDS = ("alpha_mean", "alpha_halfwidth", "fall_frequency", "welfare_mean")
 Z99 = 2.5758293035489004
+
+
+class TestRowMeans:
+    def test_np_mean_bit_for_bit_where_it_is_finite(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((200, 7)) * 10.0 ** rng.integers(-300, 300, (200, 1))
+        values[:3] = [[5e-324] * 7, [-0.0] * 7, [1e307] * 7]
+        means, plain = _row_means(values), np.mean(values, axis=1)
+        assert np.array_equal(means, plain)
+        assert np.array_equal(np.signbit(means), np.signbit(plain))
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1e308, 1e308], [1.7e308, 1.7e308, -1e308], [sys.float_info.max] * 5,
+         [-sys.float_info.max, -sys.float_info.max, 1.0, 2.0]],
+    )
+    def test_a_sum_that_overflows_gives_the_finite_mean(self, row):
+        # Warnings are errors here, so numpy's overflow warning fails the test too.
+        means = _row_means(np.array([row, [0.5] * len(row)]))
+        exact = float(sum(map(Fraction, row)) / len(row))
+        assert means[0] == pytest.approx(exact, rel=1e-15)
+        assert means[1] == 0.5
 
 
 def ref_aggregate(alphas, falls, welfares):
