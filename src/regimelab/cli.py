@@ -26,8 +26,10 @@ regular one. A write that fails is one "cannot write" error line and exit
 lo:hi:step, whose points never pass hi (hi itself is included when the
 span is a whole number of steps), or as a single number. Every number,
 read or written, must be finite. A flat key=value file passed via
---config supplies defaults; explicit flags win. Exit codes: 0 success,
-1 verification failures, 2 usage or domain errors.
+--config supplies defaults, each value checked against its option's choices
+as the file is read; explicit flags win. Exit codes: 0 success, 1
+verification failures, 2 usage or domain errors, each one "error:" line,
+argparse's included.
 """
 
 from __future__ import annotations
@@ -160,6 +162,7 @@ def _parse_theta_spec(text: str) -> np.ndarray:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    """The key=value lines of path by option dest, each value within its option's choices."""
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -172,38 +175,28 @@ def _load_config_file(path: str) -> dict[str, str]:
                         f"{path}:{lineno}: expected key=value, got {stripped!r}"
                     )
                 key, _, value = stripped.partition("=")
-                key = key.strip()
-                if key.replace("_", "-") not in _OPTIONS:
+                key, value = key.strip(), value.strip()
+                option = _OPTIONS.get(key.replace("_", "-"))
+                if option is None:
                     raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
                 if key == "config":
                     raise DomainError(f"{path}:{lineno}: a config file cannot name another one")
-                values[key.replace("-", "_")] = value.strip()
-    except OSError as exc:
+                choices = option.get("choices")
+                if choices is not None and value not in choices:
+                    raise DomainError(
+                        f"{path}:{lineno}: {key} must be {' or '.join(choices)}, got {value!r}"
+                    )
+                values[key.replace("-", "_")] = value
+    except (OSError, UnicodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     return values
 
 
-class _Options:
-    """Flag values merged over config-file values merged over defaults."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self._flags = vars(ns)
-        config_path = self._flags.get("config")
-        self._config = _load_config_file(config_path) if config_path else {}
-
-    def get(self, name: str, default: str | None = None) -> str | None:
-        flag = self._flags.get(name)
-        if flag is not None:
-            return flag
-        if name in self._config:
-            return self._config[name]
-        return default
-
-    def require(self, name: str) -> str:
-        value = self.get(name)
-        if value is None:
-            raise DomainError(f"missing required option --{name.replace('_', '-')}")
-        return value
+def _required(opts: dict, name: str) -> str:
+    """The value of option name (its dest), which must be given by a flag or the config file."""
+    if name not in opts:
+        raise DomainError(f"missing required option --{name.replace('_', '-')}")
+    return opts[name]
 
 
 # ---------------------------------------------------------------------------
@@ -409,43 +402,33 @@ def _write_record(command: str, row: tuple, fmt: str, path: str | None, **json_o
 # subcommands
 
 
-def _params_from(opts: _Options, default_rbar: str | None = None) -> ModelParams:
-    sigma = _parse_float(opts.require("sigma"), "sigma")
-    raw_rbar = opts.get("rbar", default_rbar)
-    if raw_rbar is None:
-        raise DomainError("missing required option --rbar")
-    return ModelParams(sigma, _parse_float(raw_rbar, "rbar"))
+def _params_from(opts: dict) -> ModelParams:
+    return ModelParams(
+        _parse_float(_required(opts, "sigma"), "sigma"),
+        _parse_float(_required(opts, "rbar"), "rbar"),
+    )
 
 
-def _format_from(opts: _Options, default: str = "csv") -> str:
-    fmt = opts.get("format", default)
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"format must be csv or json, got {fmt!r}")
-    return fmt
-
-
-def _cmd_continuation(opts: _Options) -> int:
-    params = _params_from(opts, default_rbar="0.2")
-    r = _parse_float(opts.require("r"), "r")
+def _cmd_continuation(opts: dict) -> int:
+    params = _params_from({"rbar": "0.2", **opts})
+    r = _parse_float(_required(opts, "r"), "r")
     solver = opts.get("solver", "closed-form")
     # Both solvers take the same --tol, so the closed form refuses one the
     # iterated solver would refuse, although it reads no tolerance itself.
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
     require_tolerance(tol)
-    if solver == "closed-form":
-        eq = closed_form_thresholds(params, r)
-    elif solver == "iterated":
+    if solver == "iterated":
         eq, _ = solve_iterated_dominance(params, r, tol)
     else:
-        raise DomainError(f"unknown solver {solver!r}")
+        eq = closed_form_thresholds(params, r)
     row = (params.sigma, r, eq.x_cutoff, eq.theta_cutoff)
-    _write_record("continuation", row, _format_from(opts), opts.get("out"), solver=solver)
+    _write_record("continuation", row, opts.get("format", "csv"), opts.get("out"), solver=solver)
     return 0
 
 
-def _cmd_signaling(opts: _Options) -> int:
+def _cmd_signaling(opts: dict) -> int:
     params = _params_from(opts)
-    r_prime = _parse_float(opts.require("rprime"), "rprime")
+    r_prime = _parse_float(_required(opts, "rprime"), "rprime")
     eq = solve_signaling(params, r_prime)
     row = (
         params.sigma,
@@ -457,58 +440,55 @@ def _cmd_signaling(opts: _Options) -> int:
         eq.x_prime,
         eq.theta_no_attack,
     )
-    _write_record("signaling", row, _format_from(opts), opts.get("out"))
+    _write_record("signaling", row, opts.get("format", "csv"), opts.get("out"))
     return 0
 
 
-def _cmd_welfare_sweep(opts: _Options) -> int:
+def _cmd_welfare_sweep(opts: dict) -> int:
     params = _params_from(opts)
-    r_primes = _parse_float_list(opts.require("rprime"), "rprime")
-    thetas = _parse_theta_spec(opts.require("theta"))
+    r_primes = _parse_float_list(_required(opts, "rprime"), "rprime")
+    thetas = _parse_theta_spec(_required(opts, "theta"))
     blocks = ((cols, {"rprime": r_prime}) for r_prime, *cols in sweep(params, r_primes, thetas))
     _write_table(
-        "welfare-sweep", _format_from(opts), opts.get("out"), blocks,
+        "welfare-sweep", opts.get("format", "csv"), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower,
     )
     return 0
 
 
-def _cmd_compare(opts: _Options) -> int:
+def _cmd_compare(opts: dict) -> int:
     params = _params_from(opts)
-    r_low = _parse_float(opts.require("rprime"), "rprime")
-    r_high = _parse_float(opts.require("rprime_hi"), "rprime-hi")
-    thetas = _parse_theta_spec(opts.require("theta"))
+    r_low = _parse_float(_required(opts, "rprime"), "rprime")
+    r_high = _parse_float(_required(opts, "rprime_hi"), "rprime-hi")
+    thetas = _parse_theta_spec(_required(opts, "theta"))
     tol = _parse_float(opts.get("tol", "1e-9"), "tol")
     blocks = ((cols, {}) for cols in compare_slices(params, r_low, r_high, thetas, tol))
     _write_table(
-        "compare", _format_from(opts), opts.get("out"), blocks,
+        "compare", opts.get("format", "csv"), opts.get("out"), blocks,
         sigma=params.sigma, rbar=params.r_lower, rprime=r_low, rprime_hi=r_high,
     )
     return 0
 
 
-def _cmd_simulate(opts: _Options) -> int:
+def _cmd_simulate(opts: dict) -> int:
     params = _params_from(opts)
-    thetas = _parse_theta_spec(opts.require("theta"))
+    thetas = _parse_theta_spec(_required(opts, "theta"))
     config = SimConfig(
         n_agents=_parse_int(opts.get("agents", "10000"), "agents"),
         n_reps=_parse_int(opts.get("reps", "20"), "reps"),
         master_seed=_parse_int(opts.get("seed", "42"), "seed"),
     )
-    raw_rprime = opts.get("rprime")
-    raw_r = opts.get("r")
-    if raw_rprime is not None and raw_r is not None:
+    raw_rprime, raw_r, raw_cutoff = opts.get("rprime"), opts.get("r"), opts.get("x_cutoff")
+    if (raw_rprime is None) == (raw_r is None):
         raise DomainError("pass either --r (continuation) or --rprime (signaling)")
-    raw_cutoff = opts.get("x_cutoff")
     if raw_rprime is not None and raw_cutoff is not None:
         raise DomainError("--x-cutoff applies only with --r; signaling mode plays x_prime")
-
     if raw_rprime is not None:
         mode = "signaling"
         eq = solve_signaling(params, _parse_float(raw_rprime, "rprime"))
         policy, cutoff = eq.r_prime, eq.x_prime
         outcome = simulate_signaling(params, eq, thetas, config)
-    elif raw_r is not None:
+    else:
         mode = "continuation"
         policy = _parse_float(raw_r, "r")
         if raw_cutoff is not None:
@@ -516,31 +496,24 @@ def _cmd_simulate(opts: _Options) -> int:
         else:
             cutoff = closed_form_thresholds(params, policy).x_cutoff
         outcome = simulate_continuation(params, policy, thetas, cutoff, config)
-    else:
-        raise DomainError("pass either --r (continuation) or --rprime (signaling)")
     columns = (thetas, outcome.alpha_mean, outcome.alpha_halfwidth, outcome.fall_frequency,
                outcome.welfare_mean)
     _write_table(
-        "simulate", _format_from(opts), opts.get("out"), [(columns, {})],
+        "simulate", opts.get("format", "csv"), opts.get("out"), [(columns, {})],
         sigma=params.sigma, rbar=params.r_lower, mode=mode, r=policy, x_cutoff=cutoff,
         n_agents=config.n_agents, n_reps=config.n_reps, seed=config.master_seed,
     )
     return 0
 
 
-def _cmd_verify(opts: _Options) -> int:
-    sigmas = _parse_float_list(
-        opts.get("sigma", ",".join(str(s) for s in DEFAULT_SIGMA_GRID)), "sigma"
-    )
-    rbars = _parse_float_list(
-        opts.get("rbar", ",".join(str(r) for r in DEFAULT_RBAR_GRID)), "rbar"
-    )
+def _cmd_verify(opts: dict) -> int:
+    sigmas = _parse_float_list(opts["sigma"], "sigma") if "sigma" in opts else DEFAULT_SIGMA_GRID
+    rbars = _parse_float_list(opts["rbar"], "rbar") if "rbar" in opts else DEFAULT_RBAR_GRID
     if not sigmas or not rbars:
         raise DomainError("verify needs at least one sigma and one rbar")
     grid = [ModelParams(s, rb) for s in sigmas for rb in rbars]
     report = run_verify(grid)
-    fmt = _format_from(opts, default="json")
-    if fmt == "csv":
+    if opts.get("format", "json") == "csv":
         rows = [
             (res.name, str(res.passed).lower(), res.points,
              "" if res.max_error is None else f"{res.max_error:.9g}", res.tolerance)
@@ -569,6 +542,8 @@ def _cmd_verify(opts: _Options) -> int:
 
 
 # The long options of every subcommand; a --config key must name one of them.
+# choices is the one statement of a value rule: argparse checks a flag
+# against it, and _load_config_file a file value.
 _OPTIONS = {
     "sigma": dict(help="signal noise half-width"),
     "rbar": dict(help="baseline policy level in (0,1)"),
@@ -588,8 +563,15 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals for run() to report; its subcommand parsers are _Parsers too."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regimelab",
         description="Equilibrium laboratory for the regime-change signalling game.",
     )
@@ -635,14 +617,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, and return the process exit code."""
-    parser = _build_parser()
+    """Parse argv, dispatch, and return the process exit code.
+
+    The handler gets one dict, by dest, of the options given: the flags
+    merged over the --config file's values. A refusal is one error line.
+    """
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return ns.handler(_Options(ns))
+        ns = vars(_build_parser().parse_args(argv))
+        handler, path = ns.pop("handler"), ns.pop("config")
+        opts = _load_config_file(path) if path else {}
+        opts.update((name, value) for name, value in ns.items() if value is not None)
+        return handler(opts)
+    except SystemExit as exc:  # --help, once its text is printed
+        return exc.code
     except RegimeLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

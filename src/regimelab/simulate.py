@@ -101,16 +101,6 @@ class SimOutcome:
     welfare_mean: float | np.ndarray
 
 
-def _fraction_matrix(n_thetas: int, config: SimConfig) -> np.ndarray:
-    """A zeroed (theta, replication) matrix; past _MAX_CELLS, refused unallocated."""
-    if n_thetas * config.n_reps > _MAX_CELLS:
-        raise DomainError(
-            f"{n_thetas:,} theta x {config.n_reps:,} replications exceeds "
-            f"{_MAX_CELLS:,} simulated cells"
-        )
-    return np.zeros((n_thetas, config.n_reps))
-
-
 def _flip(bits: np.ndarray) -> np.ndarray:
     """Map float64 bit patterns (as int64) to keys in the doubles' order, and back."""
     return np.where(bits < 0, bits ^ 0x7FFFFFFFFFFFFFFF, bits)
@@ -166,9 +156,15 @@ def _attack_fractions(
     Each replication draws its n_agents through uniform calls of at most
     _CHUNK draws, which continue one stream bit for bit, and counts each
     chunk against every threshold inside the support. Nothing is drawn when
-    no threshold is, as for an empty grid.
+    no threshold is, as for an empty grid. Past _MAX_CELLS, the matrix is
+    refused unallocated.
     """
-    alphas = _fraction_matrix(thetas.size, config)
+    if thetas.size * config.n_reps > _MAX_CELLS:
+        raise DomainError(
+            f"{thetas.size:,} theta x {config.n_reps:,} replications exceeds "
+            f"{_MAX_CELLS:,} simulated cells"
+        )
+    alphas = np.zeros((thetas.size, config.n_reps))
     if not thetas.size:
         return alphas
     sigma = params.sigma
@@ -261,11 +257,11 @@ def simulate_signaling(
     is read as strength, nobody attacks (alpha = 0, nothing is drawn), and
     the policymaker is scored at r_prime. Elsewhere the baseline policy is
     observed and the continuation game runs with the off-path cutoff
-    x_prime, over all the off-band thetas at once.
+    x_prime, over all the off-band thetas at once. An on-band theta enters
+    that run as NaN, which attacks nowhere, so it is counted nowhere.
     """
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     on_band = (eq.theta_lower <= thetas) & (thetas <= eq.theta_upper)
-    alphas = _fraction_matrix(thetas.size, config)
-    alphas[~on_band] = _attack_fractions(params, thetas[~on_band], eq.x_prime, config)
+    alphas = _attack_fractions(params, np.where(on_band, np.nan, thetas), eq.x_prime, config)
     r = np.where(on_band, eq.r_prime, params.r_lower)[:, None]
     return _outcome(params, r, theta, alphas)

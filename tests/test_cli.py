@@ -470,6 +470,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "either" in capsys.readouterr().err
 
+    def test_neither_mode_rejected(self, capsys):
+        assert run(["simulate", "--sigma", "0.5", "--rbar", "0.2", "--theta", "1.0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: pass either --r (continuation) or --rprime (signaling)\n"
+        )
+
     def test_x_cutoff_with_rprime_rejected(self, capsys):
         # Signalling mode plays x_prime; the override used to be read by
         # nothing, so the output matched the run without it, with exit 0.
@@ -753,6 +759,101 @@ class TestConfigFile:
         assert captured.err == (
             f"error: {config}:2: a config file cannot name another one\n"
         )
+
+
+    def test_config_that_is_not_utf8_exits_2_on_one_line(self, tmp_path, capsys):
+        # A UnicodeDecodeError used to end the run in a traceback and exit 1.
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"sigma=\xff\n")
+        assert run(["continuation", "--r", "0.25", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config file {config}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, line, message",
+        [
+            (["verify"], "format=xml", "format must be csv or json, got 'xml'"),
+            (["continuation", "--sigma", "0.5", "--r", "0.25"], "solver=foo",
+             "solver must be closed-form or iterated, got 'foo'"),
+            # Every key is checked, the keys of other subcommands too.
+            (["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+              "--theta", "0:1:0.05", "--agents", "1000000", "--reps", "20"], "solver=foo",
+             "solver must be closed-form or iterated, got 'foo'"),
+            (["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+              "--theta", "0:1:0.05", "--agents", "1000000", "--reps", "20"], "format=xml",
+             "format must be csv or json, got 'xml'"),
+        ],
+    )
+    def test_bad_choice_is_refused_before_any_work(self, argv, line, message, tmp_path,
+                                                   capsys, monkeypatch):
+        # simulate with format=xml in a file used to run the whole Monte
+        # Carlo before it exited 2.
+        import regimelab.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the config file was checked")
+
+        for name in ("run_verify", "simulate_continuation", "closed_form_thresholds",
+                     "solve_iterated_dominance"):
+            monkeypatch.setattr(cli, name, never)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# defaults\n{line}\n", encoding="utf-8")
+        assert run([*argv, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}:2: {message}\n"
+
+    def test_allowed_choice_of_another_subcommand_accepted(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=3\nrbar=0.2\nsolver=iterated\nformat=json\n",
+                          encoding="utf-8")
+        assert run(["signaling", "--rprime", "0.8", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["x_prime"] == pytest.approx(2.91)
+
+    def test_config_format_is_used_and_a_flag_wins_over_it(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=0.5\nr=0.25\nformat=json\n", encoding="utf-8")
+        assert run(["continuation", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["solver"] == "closed-form"
+        assert run(["continuation", "--config", str(config), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("sigma,r,x_cutoff,theta_cutoff\n")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["continuation", "--sigma", "0.5", "--r", "0.25", "--format", "xml"],
+             "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+            (["continuation", "--sigma", "0.5", "--r", "0.25", "--solver", "foo"],
+             "argument --solver: invalid choice: 'foo' (choose from 'closed-form', 'iterated')"),
+            (["signaling", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["verify", "--theta", "1"], "unrecognized arguments: --theta 1"),
+            (["verify", "--sigma"], "argument --sigma: expected one argument"),
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_each_is_one_error_line(self, argv, message, capsys):
+        # argparse used to print its usage block above the error line.
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [[], *([c] for c in _COLUMNS)])
+    def test_help_exits_0_with_its_choices(self, command, capsys):
+        assert run([*command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: regimelab")
+        if command:
+            assert "{csv,json}" in captured.out
+        if command == ["continuation"]:
+            assert "{closed-form,iterated}" in captured.out
 
 
 class TestThetaGrid:
