@@ -179,16 +179,24 @@ def solve_iterated_dominance(
     the 2*sigma + 3 wide start and the contraction modulus, plus one.
 
     Raises DomainError past _MAX_ROUNDS rounds, and ConvergenceError if
-    rounding stalls the bracket above tol (its trace as ``trace``).
+    rounding stalls the bracket above tol (its trace as ``trace``, whose
+    rounds are the whole budget). The stall is met in the first round that
+    leaves the bracket unchanged, not after the budget is spent.
     """
     _require_unit_policy(r)
     rounds = _round_budget(params.sigma, tol)
     upper = 1.0 + params.sigma + 1.0
     lower = -params.sigma - 1.0
     for done in range(1, rounds + 1):
+        last = upper, lower
         upper = best_response_cutoff(params, r, upper)
         lower = best_response_cutoff(params, r, lower)
         if upper - lower <= tol:
+            break
+        if (upper, lower) == last:
+            # A round maps the bracket alone, so one it leaves unchanged
+            # stays so: end as the rest of the budget would.
+            done = rounds
             break
     converged = upper - lower <= tol
     trace = DominanceTrace(
@@ -244,8 +252,10 @@ def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibr
 
     # Only live elements are iterated: their indices, their recurrence
     # constants, and the bracket as one (2, live) array of upper and lower
-    # cutoffs, so a round updates both in five in-place calls. Elements are
-    # dropped in the round they stop; next_stop is the earliest live budget.
+    # cutoffs, so a round updates both in one new array and four in-place
+    # calls. Elements are dropped in the round they stop; next_stop is the
+    # earliest live budget. An element whose round leaves its bracket
+    # unchanged stops there, as the scalar solver does, keeping its budget.
     live = np.arange(sigma.size)
     sig = sigma
     scale = per_element(1.0 + 2.0 * sigmas)
@@ -257,19 +267,20 @@ def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibr
         done += 1
         # best_response_cutoff: min(1, max(0, (x + sigma) / (1 + 2 sigma))) +
         # sigma (1 - 2r); fmax(0, .) keeps the builtins' +0 and maps NaN to 0.
-        bracket += sig
+        last, bracket = bracket, bracket + sig
         bracket /= scale
         np.fmax(0.0, bracket, out=bracket)
         np.fmin(1.0, bracket, out=bracket)
         bracket += shift
         width = bracket[0] - bracket[1]
-        if done < next_stop and not width.min() <= tol:
+        still = (bracket == last).all(axis=0)
+        if done < next_stop and not width.min() <= tol and not still.any():
             continue
         converged = width <= tol
-        stop = converged | (rounds[live] <= done)
+        stop = converged | still | (rounds[live] <= done)
         finished = live[stop]
         x_cutoff[finished] = 0.5 * (bracket[0, stop] + bracket[1, stop])
-        rounds[finished] = done
+        rounds[live[converged]] = done
         failed = stop & ~converged
         stalled.update(zip(live[failed].tolist(), width[failed].tolist()))
         keep = ~stop

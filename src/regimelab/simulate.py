@@ -138,16 +138,6 @@ def _count_at_most(eps: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.searchsorted(eps, t, side="right")
 
 
-def _attack_counts(panel: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np.ndarray:
-    """For each theta, how many eps of the panel (in any order) give fl(theta + eps) <= x_cutoff."""
-    high = panel.max()
-    t = _thresholds(thetas, x_cutoff, panel.min(), high)
-    counts = np.where(t == high, panel.size, 0)
-    inner = t < high
-    counts[inner] = _count_at_most(panel.copy(), t[inner])
-    return counts
-
-
 def _attack_fractions(
     params: ModelParams, thetas: np.ndarray, x_cutoff: float, config: SimConfig
 ) -> np.ndarray:

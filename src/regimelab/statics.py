@@ -131,9 +131,11 @@ def compare_welfare(
     return WelfareComparison(theta, u_low, u_high, region_low, verdicts, attack_low)
 
 
-# Slices of the theta grid bound each numpy temporary to 128 KiB; whole-grid
-# temporaries of a dense sweep fragment the heap and raise its peak memory.
-_SWEEP_SLICE = 16_384
+# A slice of the theta grid is also the CLI's write block. Each numpy
+# temporary is 32 KiB, and a block's text about 180 KB (welfare-sweep CSV)
+# to 1.0 MB (compare JSON): these sizes, not the model, set a table's peak
+# memory.
+_SWEEP_SLICE = 4_096
 
 
 def compare_slices(

@@ -43,12 +43,7 @@ from .signaling import (
     max_policy,
     solve_signaling,
 )
-from .statics import (
-    _SWEEP_SLICE,
-    critical_sigma,
-    lower_threshold_sensitivity,
-    welfare_derivative_in_rprime,
-)
+from .statics import critical_sigma, lower_threshold_sensitivity, welfare_derivative_in_rprime
 
 _TIGHT = 1e-12
 _SOLVER = 1e-9
@@ -99,8 +94,9 @@ _POLICIES = np.linspace(0.0, 1.0, 21)
 _MEMBERS = 25
 _ATTACK_PROBES = 41
 # Points per block: the largest array a check builds, the attack-consistency
-# probes (points x 25 x 41), stays within the statics sweep slice.
-_BLOCK = _SWEEP_SLICE // (_MEMBERS * _ATTACK_PROBES)
+# probes (points x 25 x 41), stays within verify's own budget of 16,384
+# doubles, so a block is 15 points.
+_BLOCK = 16_384 // (_MEMBERS * _ATTACK_PROBES)
 
 
 def _family_grid(params: ModelParams) -> np.ndarray:
@@ -352,8 +348,10 @@ def run_verify(params_list: list[ModelParams]) -> VerifyReport:
     A check's points are the summed sizes of its error arrays, and its
     max_error their largest element. A NaN or infinite one, such as overflow
     at an extreme sigma gives, fails its check with a max_error of None; it
-    raises no numpy warning. The first point the solvers refuse, in grid
-    order, raises its error.
+    raises no numpy warning. A check with no points, such as the finite
+    differences on a family narrower than their step, is still reported: it
+    passes with a max_error of None. The first point the solvers refuse, in
+    grid order, raises its error.
     """
     points = [0] * len(_CHECKS)
     worst = [-np.inf] * len(_CHECKS)
@@ -371,7 +369,6 @@ def run_verify(params_list: list[ModelParams]) -> VerifyReport:
             tolerance=tolerance,
         )
         for (name, _, tolerance), n, err in zip(_CHECKS, points, worst)
-        if n
     )
     return VerifyReport(results=tuple(results))
 

@@ -42,6 +42,7 @@ from regimelab.cli import (
     _write_record,
     _write_table,
 )
+from regimelab.verify import _CHECKS
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
 
@@ -272,7 +273,7 @@ _SLICED_COMPARE = ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8"
 
 
 class TestStreamedTables:
-    """Tables are written a block of at most 16,384 rows at a time."""
+    """Tables are written a block of at most 4,096 rows at a time."""
 
     @staticmethod
     def peak(argv, out):
@@ -295,6 +296,25 @@ class TestStreamedTables:
         one = self.peak([*argv, "--rprime", "0.8"], out)
         six = self.peak([*argv, "--rprime", "0.3,0.5,0.8,1,1.2,1.4"], out)
         assert six < 1.5 * one
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+              "--theta", "0:7:0.0001", "--format", "json"], 4 * 2**20),
+            (["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
+              "--theta", "0:7:0.0001"], 2 * 2**20),
+        ],
+        ids=["compare-json", "sweep-csv"],
+    )
+    def test_benchmark_tables_peak_at_a_few_blocks(self, argv, limit, tmp_path):
+        # 70,001 theta: the grid array is 0.53 MiB, and the rest is about one
+        # 4,096-row block's columns, cell texts and encoded text. Blocks of
+        # 16,384 rows peaked at 11.2 MiB in JSON and 4.0 MiB in CSV.
+        out = tmp_path / "out"
+        run([*argv, "--out", str(out)])
+        peak = self.peak(argv, out)
+        assert peak < limit, peak
 
     def test_bad_later_rprime_writes_nothing(self, tmp_path, capsys):
         # r' = 5 is past r_tilde; every r' is solved before the first block.
@@ -330,7 +350,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [16_384, 16_384]
+        assert calls == [4_096, 4_096]
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -342,7 +362,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [16_384]
+        assert calls == [4_096]
         assert out.read_text() == "an earlier table\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -354,7 +374,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_COMPARE, "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [16_384] * 3
+        assert calls == [4_096] * 3
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -366,7 +386,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_COMPARE, "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [16_384] * 2
+        assert calls == [4_096] * 2
         assert out.read_text() == "an earlier table\n"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -382,7 +402,7 @@ class TestStreamedTables:
         reader.join(timeout=30)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert received[0].startswith(b"sigma,rbar,rprime,theta,")
-        assert received[0].count(b"\n") == 1 + 16_384
+        assert received[0].count(b"\n") == 1 + 4_096
 
     @pytest.mark.parametrize(
         "argv",
@@ -623,6 +643,25 @@ class TestVerifyCommand:
         check = checks["statics.derivative-finite-difference"]
         assert (check["passed"], check["max_error"]) == (
             (False, None) if fmt == "json" else ("false", "")
+        )
+
+    def test_check_with_no_points_is_reported(self, capsys):
+        # At r_bar = 1 - 2^-53 the family is narrower than both
+        # finite-difference steps: those checks compare nothing, and still
+        # get their rows, passing with an empty max_error.
+        code = run(["verify", "--sigma", "0.5", "--rbar", "0.9999999999999999",
+                    "--format", "csv"])
+        assert code == 1
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["name"] for row in rows] == [name for name, _, _ in _CHECKS]
+        assert [row for row in rows if row["points"] == "0"] == [
+            {"name": name, "passed": "true", "points": "0", "max_error": "",
+             "tolerance": "1e-06"}
+            for name in ("statics.derivative-finite-difference", "statics.threshold-sensitivity")
+        ]
+        assert captured.err == (
+            "verify: 2 of 15 checks failed: signaling.ordering, welfare.branch-consistency\n"
         )
 
     def test_failures_exit_1_and_are_listed(self, capsys, monkeypatch):
@@ -1410,11 +1449,11 @@ def test_traced_blocks_count_the_rows_and_write_strs(monkeypatch, tmp_path, capf
     monkeypatch.setattr(cli, "_write_text", traced_write)
     out = tmp_path / "sweep.csv"
     # The benchmark's sweep at twice its step: 35,001 theta for each of three
-    # r', written in three blocks each.
+    # r', written in nine blocks each.
     assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
                 "--theta", "0:7:0.0002", "--out", str(out)]) == 0
     assert grids == [35_001]
-    assert rows == [16_384, 16_384, 2_233] * 3
+    assert rows == ([4_096] * 8 + [2_233]) * 3
     assert sum(rows) == 3 * 35_001 == len(out.read_text().splitlines()) - 1
     assert sum(sizes) == out.stat().st_size
     sys.stdout.flush()

@@ -25,6 +25,9 @@ SOLVER_TOL = 1e-9
 HALF = ModelParams(sigma=0.5, r_lower=0.2)
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
 
+# `continuation --sigma 0.001 --r 0.2 --solver iterated --tol 1e-300`
+STALL_1E300 = "cutoff bracket still 5.551e-14 wide after 346285 iterations (tol=1.0e-300)"
+
 
 def bisect_fall_threshold(params, x_cutoff):
     """Independent oracle: bisect attack_mass(theta) - theta on [0, 1]."""
@@ -192,6 +195,30 @@ class TestIteratedDominance:
         assert trace.rounds == 57
         assert trace.final_bracket == (1.4, 1.4000000000000001)
 
+    def test_unchanged_bracket_ends_the_rounds(self, monkeypatch):
+        # A tol far below the spacing of doubles near the cutoff: rounding
+        # stops the bracket at 5.551e-14 wide in round 15,455 of the 346,285
+        # budgeted. Spending the rest took 692,570 best-response calls; the
+        # first round that leaves the bracket unchanged now ends the run,
+        # with the message and trace that the spent budget gave.
+        import regimelab.continuation as continuation
+
+        calls = []
+        best_response = continuation.best_response_cutoff
+
+        def counted(*args):
+            calls.append(None)
+            return best_response(*args)
+
+        monkeypatch.setattr(continuation, "best_response_cutoff", counted)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_iterated_dominance(ModelParams(0.001, 0.2), 0.2, tol=1e-300)
+        assert len(calls) < 40_000
+        assert str(excinfo.value) == STALL_1E300
+        trace = excinfo.value.trace
+        assert (trace.rounds, trace.converged) == (346_285, False)
+        assert trace.final_bracket == (0.8005999999999945, 0.80060000000005)
+
     def test_memory_does_not_grow_with_the_rounds(self):
         # 10,373 rounds: keeping each round's bracket would take about 830 KB.
         params = ModelParams(sigma=1e-3, r_lower=0.2)
@@ -269,6 +296,11 @@ class TestBatchedDominance:
         with pytest.raises(ConvergenceError) as batched:
             iterated_cutoffs(np.array([[0.25], [0.5]]), np.array([0.0, 0.3]), tol=1e-17)
         assert str(batched.value) == str(first.value) != message
+
+    def test_unchanged_bracket_raises_the_scalar_message(self):
+        with pytest.raises(ConvergenceError) as batched:
+            iterated_cutoffs(0.001, 0.2, tol=1e-300)
+        assert str(batched.value) == STALL_1E300
 
     @pytest.mark.parametrize(
         "sigmas, refused",

@@ -23,8 +23,8 @@ from regimelab.simulate import (
     _CHUNK,
     _PASSES,
     _STREAM_REPS,
-    _attack_counts,
     _attack_fractions,
+    _count_at_most,
     _row_means,
     _sub_seed,
     _thresholds,
@@ -281,6 +281,16 @@ class TestGridMatchesPerThetaCode:
         empty = simulate_continuation(HALF, 0.25, [], 1.0, BIG)
         assert all(getattr(empty, f).shape == (0,) for f in FIELDS)
         assert rng_calls == []
+
+
+def _attack_counts(panel: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np.ndarray:
+    """For each theta, how many eps of the panel (in any order) give fl(theta + eps) <= x_cutoff."""
+    high = panel.max()
+    t = _thresholds(thetas, x_cutoff, panel.min(), high)
+    counts = np.where(t == high, panel.size, 0)
+    inner = t < high
+    counts[inner] = _count_at_most(panel.copy(), t[inner])
+    return counts
 
 
 def brute_counts(sorted_eps, thetas, x_cutoff):

@@ -239,12 +239,12 @@ class TestCompareWelfare:
 
 
 class TestCompareSlices:
-    # 33,001 points: three slices, the last one partial.
+    # 33,001 points: nine slices, the last one partial.
     THETAS = [k * 2e-4 for k in range(33_001)]
 
     def test_slices_concatenate_to_the_whole_grid_curves(self):
         slices = list(compare_slices(WIDE, 0.8, 0.9, self.THETAS))
-        assert [len(cols[0]) for cols in slices] == [16_384, 16_384, 233]
+        assert [len(cols[0]) for cols in slices] == [4_096] * 8 + [233]
         theta, region_low, attack_low, u_low, u_high, verdicts = (
             np.concatenate(col) for col in zip(*slices)
         )
@@ -385,11 +385,11 @@ class TestSweep:
         ]
 
     def test_slices_concatenate_to_the_whole_grid(self):
-        # 33,001 points: three slices per r_prime, the last one partial.
+        # 33,001 points: nine slices per r_prime, the last one partial.
         thetas = [k * 1e-4 for k in range(33_001)]
         blocks = list(sweep(WIDE, [0.5, 0.8], thetas))
         assert [(r, len(part)) for r, part, *_ in blocks] == [
-            (r, n) for r in (0.5, 0.8) for n in (16_384, 16_384, 233)
+            (r, n) for r in (0.5, 0.8) for n in [4_096] * 8 + [233]
         ]
         grid = np.array(thetas)
         for r_prime in (0.5, 0.8):

@@ -33,8 +33,15 @@ from regimelab import (
 )
 from regimelab.continuation import iterated_cutoffs
 from regimelab.model import cost
-from regimelab.statics import critical_sigma, lower_threshold_sensitivity
-from regimelab.verify import _BLOCK, _CHECKS, DEFAULT_RBAR_GRID, DEFAULT_SIGMA_GRID
+from regimelab.statics import _SWEEP_SLICE, critical_sigma, lower_threshold_sensitivity
+from regimelab.verify import (
+    _ATTACK_PROBES,
+    _BLOCK,
+    _CHECKS,
+    _MEMBERS,
+    DEFAULT_RBAR_GRID,
+    DEFAULT_SIGMA_GRID,
+)
 
 # --- reference: the per-point verify ---------------------------------------------
 
@@ -226,6 +233,14 @@ def assert_matches_reference(grid):
 class TestGridMatchesPerPointVerify:
     def test_block_size_is_derived_from_the_sweep_slice(self):
         assert _BLOCK == 15
+
+    def test_block_keeps_its_own_budget(self):
+        # The largest check array, points x 25 members x 41 probes, fills
+        # verify's own 16,384 doubles, not the smaller statics sweep slice.
+        probes = _MEMBERS * _ATTACK_PROBES
+        assert _BLOCK == 15
+        assert _BLOCK * probes <= 16_384 < (_BLOCK + 1) * probes
+        assert _SWEEP_SLICE // probes < _BLOCK
 
     def test_benchmark_grid(self):
         assert len(BENCH_GRID) == 306
