@@ -29,7 +29,9 @@ read or written, must be finite. A flat key=value file passed via
 --config supplies defaults, each value checked against its option's choices
 as the file is read; explicit flags win. Exit codes: 0 success, 1
 verification failures, 2 usage or domain errors, each one "error:" line,
-argparse's included.
+argparse's included. No command makes a BLAS call, so the CLI loads numpy
+with one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set, and leaves the
+environment as it found it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,18 @@ import stat
 import sys
 from operator import attrgetter
 
-import numpy as np
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it, and otherwise
+# starts a worker per extra core that spin-waits for work before it sleeps.
+# The variable is removed again at once, so run() callers and child
+# processes see the environment they had.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .continuation import closed_form_thresholds, require_tolerance, solve_iterated_dominance
 from .errors import DomainError, RegimeLabError

@@ -137,6 +137,9 @@ def require_tolerance(tol: float) -> None:
 # about 1.1e-5 needs more and is refused unrun.
 _MAX_ROUNDS = 1_000_000
 
+# Rounds between the batched solver's looks for a stalled bracket.
+_STALL_CHECK = 64
+
 
 def _round_budget(sigma: float, tol: float) -> int:
     """Rounds the elimination may take at sigma before it gives up at tol.
@@ -254,8 +257,11 @@ def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibr
     # constants, and the bracket as one (2, live) array of upper and lower
     # cutoffs, so a round updates both in one new array and four in-place
     # calls. Elements are dropped in the round they stop; next_stop is the
-    # earliest live budget. An element whose round leaves its bracket
-    # unchanged stops there, as the scalar solver does, keeping its budget.
+    # earliest live budget. A round that leaves an element's bracket
+    # unchanged stops the element, keeping its budget, as the scalar solver
+    # does. That bracket is a fixed point, so looking for one only every
+    # _STALL_CHECK rounds, and in any round that stops an element anyway,
+    # finds it with the same bits, a round or more later.
     live = np.arange(sigma.size)
     sig = sigma
     scale = per_element(1.0 + 2.0 * sigmas)
@@ -273,8 +279,11 @@ def iterated_cutoffs(sigmas, r, tol: float = 1e-9) -> tuple[ContinuationEquilibr
         np.fmin(1.0, bracket, out=bracket)
         bracket += shift
         width = bracket[0] - bracket[1]
+        stopping = done >= next_stop or width.min() <= tol
+        if not stopping and done % _STALL_CHECK:
+            continue
         still = (bracket == last).all(axis=0)
-        if done < next_stop and not width.min() <= tol and not still.any():
+        if not (stopping or still.any()):
             continue
         converged = width <= tol
         stop = converged | still | (rounds[live] <= done)

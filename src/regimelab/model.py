@@ -64,7 +64,7 @@ def first_where(value, where) -> float:
 
 def clamp_unit(raw):
     """min(1, max(0, raw)) elementwise, NaN giving 0 as the builtins do."""
-    return float_or_array(np.select([raw >= 1.0, raw > 0.0], [1.0, raw], 0.0))
+    return float_or_array(np.where(raw >= 1.0, 1.0, np.where(raw > 0.0, raw, 0.0)))
 
 
 def cost(params: ModelParams, r: float) -> float:

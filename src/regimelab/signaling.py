@@ -114,7 +114,8 @@ def solve_signaling(params: ModelParams, r_prime: float) -> SignalingEquilibrium
 
 
 # The curves below take theta as a float or an array (eq's fields may broadcast
-# against it). np.select keeps the branch order: the first true condition wins.
+# against it). Each is a chain of np.where calls whose last call tests the
+# first branch, so the first true condition wins.
 
 
 @quiet_overflow
@@ -133,7 +134,7 @@ def aggregate_attack_no_intervention(
     full_attack_below = eq.theta_upper + 2.0 * sigma * (eq.theta_lower - 1.0)
     ramp = clamp_unit(eq.theta_lower + (eq.theta_upper - theta) / (2.0 * sigma))
     return float_or_array(
-        np.select([theta < full_attack_below, theta >= eq.theta_no_attack], [1.0, 0.0], ramp)
+        np.where(theta < full_attack_below, 1.0, np.where(theta >= eq.theta_no_attack, 0.0, ramp))
     )
 
 
@@ -149,13 +150,9 @@ def ex_post_welfare(params: ModelParams, eq: SignalingEquilibrium, theta: float)
     inv = 1.0 / (2.0 * params.sigma)
     ratio = params.r_lower / (1.0 - params.r_lower)
     defend = (1.0 + inv) * theta - (inv - ratio) * eq.theta_lower - 1.0
-    return float_or_array(
-        np.select(
-            [theta < eq.theta_lower, theta < eq.theta_upper, theta < eq.theta_no_attack],
-            [0.0, theta - eq.theta_lower, defend],
-            theta,
-        )
-    )
+    welfare = np.where(theta < eq.theta_no_attack, defend, theta)
+    welfare = np.where(theta < eq.theta_upper, theta - eq.theta_lower, welfare)
+    return float_or_array(np.where(theta < eq.theta_lower, 0.0, welfare))
 
 
 _REGIONS = np.array(list(PolicyRegion), dtype=object)
@@ -166,9 +163,6 @@ def classify_region(eq: SignalingEquilibrium, theta: float) -> PolicyRegion:
 
     An array theta gives an object array of PolicyRegion members.
     """
-    index = np.select(
-        [theta < eq.theta_lower, theta <= eq.theta_upper, theta < eq.theta_no_attack],
-        [0, 1, 2],
-        3,
-    )
-    return _REGIONS[index]
+    index = np.where(theta < eq.theta_no_attack, 2, 3)
+    index = np.where(theta <= eq.theta_upper, 1, index)
+    return _REGIONS[np.where(theta < eq.theta_lower, 0, index)]

@@ -286,7 +286,7 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_does_not_grow_with_the_rprime_count(self, fmt, tmp_path):
-        # 33,001 theta, three slices per r'. Building the whole table before
+        # 33,001 theta, nine blocks per r'. Building the whole table before
         # writing it peaked at about 45 MiB with 6 r' against 10 MiB with 1 in
         # CSV, and 135 against 23 MiB in JSON. Block by block, what stays is
         # the theta grid and one block.
@@ -916,8 +916,8 @@ class TestThetaGrid:
         assert _parse_theta_spec(spec).tobytes() == expected.tobytes()
 
     def test_largest_grid_keeps_the_scalar_bits(self):
-        # Exactly 10,000,000 points: each is lo + k*step bit for bit, at the
-        # first slice's edges and at the last two points.
+        # Exactly 10,000,000 points: each is lo + k*step bit for bit, around
+        # k = 16,384 and at the last two points.
         grid = _parse_theta_spec("-3:996.9999:0.0001")
         assert len(grid) == 10_000_000
         for k in (0, 16_383, 16_384, 16_385, 9_999_998, 9_999_999):

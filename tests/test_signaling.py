@@ -1,7 +1,11 @@
 """Signalling-equilibrium thresholds, attack curve, and welfare."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimelab import (
     DomainError,
@@ -209,3 +213,74 @@ class TestFamilyInvariants:
             assert abs(eq.theta_no_attack - (eq.theta_upper + 2 * params.sigma * eq.theta_lower)) <= TIGHT
             if r_prime != r_tilde:
                 assert eq.theta_lower < 1.0 - params.r_lower
+
+
+# --- the evaluators as np.select forms: the reference for their np.where chains
+
+
+def select_attack(params, eq, theta):
+    sigma = params.sigma
+    full_attack_below = eq.theta_upper + 2.0 * sigma * (eq.theta_lower - 1.0)
+    raw = eq.theta_lower + (eq.theta_upper - theta) / (2.0 * sigma)
+    ramp = np.select([raw >= 1.0, raw > 0.0], [1.0, raw], 0.0)
+    return np.select([theta < full_attack_below, theta >= eq.theta_no_attack], [1.0, 0.0], ramp)
+
+
+def select_welfare(params, eq, theta):
+    inv = 1.0 / (2.0 * params.sigma)
+    ratio = params.r_lower / (1.0 - params.r_lower)
+    defend = (1.0 + inv) * theta - (inv - ratio) * eq.theta_lower - 1.0
+    return np.select(
+        [theta < eq.theta_lower, theta < eq.theta_upper, theta < eq.theta_no_attack],
+        [0.0, theta - eq.theta_lower, defend],
+        theta,
+    )
+
+
+def select_region(eq, theta):
+    index = np.select(
+        [theta < eq.theta_lower, theta <= eq.theta_upper, theta < eq.theta_no_attack],
+        [0, 1, 2],
+        3,
+    )
+    return np.array(list(PolicyRegion), dtype=object)[index]
+
+
+@st.composite
+def family_and_thetas(draw):
+    """Parameters, 1-3 family members, and theta anywhere and around every cutoff."""
+    params = ModelParams(sigma=draw(st.floats(0.01, 20.0)), r_lower=draw(st.floats(0.01, 0.99)))
+    r_tilde = max_policy(params)
+    span = r_tilde - params.r_lower
+    fractions = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3))
+    r_primes = np.array([min(params.r_lower + f * span, r_tilde) for f in fractions])
+    thetas = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
+    for r_prime in r_primes.tolist():
+        eq = solve_signaling(params, r_prime)
+        full = eq.theta_upper + 2.0 * params.sigma * (eq.theta_lower - 1.0)
+        for cutoff in (eq.theta_lower, eq.theta_upper, eq.theta_no_attack, full):
+            thetas += [math.nextafter(cutoff, -math.inf), cutoff, math.nextafter(cutoff, math.inf)]
+    return params, r_primes, np.array(thetas)
+
+
+CURVES = ((ex_post_welfare, select_welfare), (aggregate_attack_no_intervention, select_attack))
+
+
+class TestWhereChainsMatchSelect:
+    @settings(max_examples=150, deadline=None)
+    @given(family_and_thetas())
+    def test_every_bit_for_broadcast_and_scalar_theta(self, case):
+        params, r_primes, thetas = case
+        family = solve_signaling(params, r_primes[:, None])
+        eq = solve_signaling(params, float(r_primes[0]))
+        with np.errstate(all="ignore"):
+            for fn, ref in CURVES:
+                assert fn(params, family, thetas).tobytes() == ref(params, family, thetas).tobytes()
+            regions = classify_region(family, thetas)
+            assert regions.tolist() == select_region(family, thetas).tolist()
+            for theta in thetas.tolist():
+                for fn, ref in CURVES:
+                    value = fn(params, eq, theta)
+                    assert type(value) is float
+                    assert np.float64(value).tobytes() == ref(params, eq, theta).tobytes()
+                assert classify_region(eq, theta) is select_region(eq, theta)

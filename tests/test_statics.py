@@ -24,6 +24,7 @@ from regimelab import (
     sweep,
     welfare_derivative_in_rprime,
 )
+from regimelab.statics import _SWEEP_SLICE
 
 TIGHT = 1e-12
 FD_TOL = 1e-6
@@ -285,7 +286,7 @@ class TestCompareSlices:
             next(slices)
 
     def test_peak_holds_the_grid_and_one_slice(self):
-        # 327,680 points, 20 slices. Building the six whole-grid arrays
+        # 327,680 points, 80 slices. Building the six whole-grid arrays
         # first peaked at about 21 MiB; a slice at a time, what stays is the
         # grid array of the checks, until the first slice, and one slice.
         thetas = [k * 2e-5 for k in range(327_680)]
@@ -298,9 +299,10 @@ class TestCompareSlices:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
-    @pytest.mark.parametrize("n", [1, 16_384, 16_385])
+    @pytest.mark.parametrize("n", [1, _SWEEP_SLICE, _SWEEP_SLICE + 1, 16_384, 16_385])
     def test_compare_welfare_is_the_concatenated_slices(self, n):
-        # At one point, one full slice and one point past it.
+        # At one point, one full slice and one point past it, and four full
+        # slices and one point past them.
         thetas = [k * 7.0 / n for k in range(n)]
         slices = list(compare_slices(WIDE, 0.8, 0.9, thetas))
         theta, region_low, attack_low, u_low, u_high, verdicts = (

@@ -231,7 +231,7 @@ def assert_matches_reference(grid):
 
 
 class TestGridMatchesPerPointVerify:
-    def test_block_size_is_derived_from_the_sweep_slice(self):
+    def test_block_is_fifteen_points(self):
         assert _BLOCK == 15
 
     def test_block_keeps_its_own_budget(self):
