@@ -16,7 +16,7 @@ after any point) where that has no exponent, so 1e9 is 1e+09 in CSV and
 1000000000.0 in JSON. CSV uses a header row; both are UTF-8 with LF line
 endings and JSON is laid out as json.dumps(indent=2) lays it out. A verify
 max_error that is not finite is null in JSON and an empty CSV cell. Tables
-are written in blocks of at most 4,096 rows as they are formatted: a CSV
+are written in blocks of at most 1,024 rows as they are formatted: a CSV
 block by one % call over a row template (%.9g or %s per varying column)
 and one flat tuple of its cells, a JSON block a column at a time, one
 format call per float column and one join per block. --out is opened at

@@ -15,9 +15,13 @@ one noise stream, shared by every theta of a grid (common random numbers).
 Rounding is monotone, so fl(theta + eps) <= x_cutoff holds exactly when eps
 is at or below theta's threshold, found once per run by bisection over the
 doubles of the support [-sigma, sigma]. A theta where all of the support
-attacks or none of it does is counted without a draw; the others are
-counted against each replication's draws as they arrive, _CHUNK at a time.
-The counts are those that comparing every signal with the cutoff gives.
+attacks or none of it does is counted without a draw. The others are
+counted against the sampler's own lattice: eps is -sigma + 2*sigma*u, with
+u = k * 2**-53 the generator's random() draw, and that map is monotone too,
+so eps is at or below a threshold exactly when u is at or below its
+lattice bound. Each replication's u arrive _CHUNK at a time, and are never
+mapped to eps. The counts are those that comparing every signal with the
+cutoff gives.
 
 A run fills one (theta, replication) matrix of attack fractions, theta-major,
 and reduces it row by row into one SimOutcome: float fields for a scalar
@@ -47,7 +51,7 @@ _Z99 = 2.5758293035489004
 # agents x 20 replications is 2e9 draws, about 10 s at 5 ns a draw.
 _MAX_AGENTS = 100_000_000
 
-# Draws per uniform call: 1 MiB of doubles, which stays in cache across the
+# Draws per random() call: 1 MiB of doubles, which stays in cache across the
 # passes over it. A sort spends about log2(_CHUNK) comparisons per draw, so
 # up to that many thresholds are counted by one comparison pass each.
 _CHUNK = 1 << 17
@@ -127,15 +131,33 @@ def _thresholds(thetas: np.ndarray, x_cutoff: float, low: float, high: float) ->
     return t
 
 
-def _count_at_most(eps: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """For each threshold, the count of eps at or below it.
+def _lattice_bounds(t: np.ndarray, low: float, span: float) -> np.ndarray:
+    """For each threshold t >= low, the largest u = k * 2**-53 in [0, 1) with
+    low + span*u <= t, in numpy's float arithmetic.
 
-    A pass per threshold, or past _PASSES thresholds one in-place sort of eps.
+    That is the draw u of random() whose eps = low + span*u, as uniform(low,
+    low + span) computes it, is the last at or below t. One bisection over
+    the integers k in [0, 2**53], 53 rounds; k = 2**53 (u = 1) is never drawn.
+    """
+    lo = np.zeros(t.size, dtype=np.int64)
+    hi = np.full(t.size, 1 << 53, dtype=np.int64)
+    while np.any(lo < hi - 1):
+        mid = (lo + hi) >> 1
+        below = low + span * (mid * 2.0**-53) <= t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo * 2.0**-53
+
+
+def _count_at_most(draws: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each threshold, the count of draws at or below it.
+
+    A pass per threshold, or past _PASSES thresholds one in-place sort of draws.
     """
     if t.size <= _PASSES:
-        return np.array([np.count_nonzero(eps <= v) for v in t.tolist()], dtype=np.int64)
-    eps.sort()
-    return np.searchsorted(eps, t, side="right")
+        return np.array([np.count_nonzero(draws <= v) for v in t.tolist()], dtype=np.int64)
+    draws.sort()
+    return np.searchsorted(draws, t, side="right")
 
 
 def _attack_fractions(
@@ -143,11 +165,11 @@ def _attack_fractions(
 ) -> np.ndarray:
     """The (theta, replication) matrix of sample attack fractions.
 
-    Each replication draws its n_agents through uniform calls of at most
-    _CHUNK draws, which continue one stream bit for bit, and counts each
-    chunk against every threshold inside the support. Nothing is drawn when
-    no threshold is, as for an empty grid. Past _MAX_CELLS, the matrix is
-    refused unallocated.
+    Each replication draws its n_agents u through random() calls of at most
+    _CHUNK draws into one buffer, which continue one stream bit for bit, and
+    counts each chunk against the lattice bound of every threshold inside
+    the support. Nothing is drawn when no threshold is, as for an empty
+    grid. Past _MAX_CELLS, the matrix is refused unallocated.
     """
     if thetas.size * config.n_reps > _MAX_CELLS:
         raise DomainError(
@@ -164,12 +186,13 @@ def _attack_fractions(
     alphas[t == sigma] = config.n_agents
     inner = np.flatnonzero(t < sigma)
     inner = inner[np.argsort(t[inner])]  # ascending keys let searchsorted reuse its last bound
-    t = t[inner]
+    bounds = _lattice_bounds(t[inner], -sigma, 2.0 * sigma)
+    buffer = np.empty(min(_CHUNK, config.n_agents))
     for k in range(config.n_reps if inner.size else 0):
         rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
         for start in range(0, config.n_agents, _CHUNK):
-            m = min(_CHUNK, config.n_agents - start)
-            alphas[inner, k] += _count_at_most(rng.uniform(-sigma, sigma, m), t)
+            chunk = buffer[: config.n_agents - start]
+            alphas[inner, k] += _count_at_most(rng.random(out=chunk), bounds)
     alphas /= config.n_agents
     return alphas
 

@@ -132,10 +132,11 @@ def compare_welfare(
 
 
 # A slice of the theta grid is also the CLI's write block. Each numpy
-# temporary is 32 KiB, and a block's text about 180 KB (welfare-sweep CSV)
-# to 1.0 MB (compare JSON): these sizes, not the model, set a table's peak
-# memory.
-_SWEEP_SLICE = 4_096
+# temporary is 8 KiB, and a block's text about 45 KB (welfare-sweep CSV) to
+# 250 KB (compare JSON): these sizes, not the model, set a table's peak
+# memory. Smaller slices save at most 0.8 MiB more of RSS, and their
+# per-slice evaluator calls make CSV tables slower.
+_SWEEP_SLICE = 1_024
 
 
 def compare_slices(

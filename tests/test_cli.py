@@ -42,6 +42,7 @@ from regimelab.cli import (
     _write_record,
     _write_table,
 )
+from regimelab.statics import _SWEEP_SLICE
 from regimelab.verify import _CHECKS
 
 WIDE = ModelParams(sigma=3.0, r_lower=0.2)
@@ -273,7 +274,7 @@ _SLICED_COMPARE = ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8"
 
 
 class TestStreamedTables:
-    """Tables are written a block of at most 4,096 rows at a time."""
+    """Tables are written a block of at most _SWEEP_SLICE (1,024) rows at a time."""
 
     @staticmethod
     def peak(argv, out):
@@ -286,7 +287,7 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_does_not_grow_with_the_rprime_count(self, fmt, tmp_path):
-        # 33,001 theta, nine blocks per r'. Building the whole table before
+        # 33,001 theta, 33 blocks per r'. Building the whole table before
         # writing it peaked at about 45 MiB with 6 r' against 10 MiB with 1 in
         # CSV, and 135 against 23 MiB in JSON. Block by block, what stays is
         # the theta grid and one block.
@@ -301,16 +302,17 @@ class TestStreamedTables:
         "argv, limit",
         [
             (["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
-              "--theta", "0:7:0.0001", "--format", "json"], 4 * 2**20),
+              "--theta", "0:7:0.0001", "--format", "json"], 1.75 * 2**20),
             (["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
-              "--theta", "0:7:0.0001"], 2 * 2**20),
+              "--theta", "0:7:0.0001"], 1.25 * 2**20),
         ],
         ids=["compare-json", "sweep-csv"],
     )
     def test_benchmark_tables_peak_at_a_few_blocks(self, argv, limit, tmp_path):
         # 70,001 theta: the grid array is 0.53 MiB, and the rest is about one
-        # 4,096-row block's columns, cell texts and encoded text. Blocks of
-        # 16,384 rows peaked at 11.2 MiB in JSON and 4.0 MiB in CSV.
+        # 1,024-row block's columns, cell texts and encoded text. Blocks of
+        # 16,384 rows peaked at 11.2 MiB in JSON and 4.0 MiB in CSV, and of
+        # 4,096 rows at 3.33 and 1.46 MiB.
         out = tmp_path / "out"
         run([*argv, "--out", str(out)])
         peak = self.peak(argv, out)
@@ -350,7 +352,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [4_096, 4_096]
+        assert calls == [_SWEEP_SLICE, _SWEEP_SLICE]
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -362,7 +364,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_SWEEP, "--rprime", "0.8", "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [4_096]
+        assert calls == [_SWEEP_SLICE]
         assert out.read_text() == "an earlier table\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -374,7 +376,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_COMPARE, "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [4_096] * 3
+        assert calls == [_SWEEP_SLICE] * 3
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -386,7 +388,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         out.write_text("an earlier table\n")
         assert run([*_SLICED_COMPARE, "--format", fmt, "--out", str(out)]) == 2
-        assert calls == [4_096] * 2
+        assert calls == [_SWEEP_SLICE] * 2
         assert out.read_text() == "an earlier table\n"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -402,7 +404,7 @@ class TestStreamedTables:
         reader.join(timeout=30)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert received[0].startswith(b"sigma,rbar,rprime,theta,")
-        assert received[0].count(b"\n") == 1 + 4_096
+        assert received[0].count(b"\n") == 1 + _SWEEP_SLICE
 
     @pytest.mark.parametrize(
         "argv",
@@ -1449,11 +1451,12 @@ def test_traced_blocks_count_the_rows_and_write_strs(monkeypatch, tmp_path, capf
     monkeypatch.setattr(cli, "_write_text", traced_write)
     out = tmp_path / "sweep.csv"
     # The benchmark's sweep at twice its step: 35,001 theta for each of three
-    # r', written in nine blocks each.
+    # r', written in whole blocks and one partial last block each.
     assert run(["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
                 "--theta", "0:7:0.0002", "--out", str(out)]) == 0
     assert grids == [35_001]
-    assert rows == ([4_096] * 8 + [2_233]) * 3
+    full, rest = divmod(35_001, _SWEEP_SLICE)
+    assert rows == ([_SWEEP_SLICE] * full + [rest]) * 3
     assert sum(rows) == 3 * 35_001 == len(out.read_text().splitlines()) - 1
     assert sum(sizes) == out.stat().st_size
     sys.stdout.flush()

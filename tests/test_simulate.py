@@ -25,6 +25,7 @@ from regimelab.simulate import (
     _STREAM_REPS,
     _attack_fractions,
     _count_at_most,
+    _lattice_bounds,
     _row_means,
     _sub_seed,
     _thresholds,
@@ -454,6 +455,75 @@ class TestChunkedDraws:
         assert np.count_nonzero(t < HALF.sigma) == passed
         assert got[[0, 1]].tolist() == [[1.0, 1.0]] * 2
         assert got[[2, -2, -1]].tolist() == [[0.0, 0.0]] * 3
+
+
+_LATTICE_SIGMAS = [5e-324, 1e-300, 1e-10, 0.5, 3.0, 8e307]
+
+
+def lattice_thresholds(sigma):
+    """Thresholds across the support [-sigma, sigma): its ends, drawn eps and
+    the doubles either side of each (ties), and every double of a tiny support."""
+    eps = np.random.default_rng(3).uniform(-sigma, sigma, 200)
+    t = np.array(_around(-sigma, *eps.tolist(), 0.0, math.nextafter(sigma, -math.inf)))
+    return np.unique(t[(-sigma <= t) & (t < sigma)])
+
+
+class TestSamplerLattice:
+    @pytest.mark.parametrize("sigma", _LATTICE_SIGMAS)
+    def test_uniform_is_low_plus_span_times_random(self, sigma):
+        # The lattice bounds count random() draws in place of uniform's eps,
+        # which holds only while numpy draws uniform(low, high) as
+        # low + (high - low) * random(), bit for bit. NEP 19 does not keep
+        # Generator methods stable: a numpy that changes uniform fails here.
+        eps = np.random.default_rng(8).uniform(-sigma, sigma, 10_000)
+        u = np.random.default_rng(8).random(10_000)
+        assert np.array_equal((-sigma + (sigma - -sigma) * u).view(np.int64), eps.view(np.int64))
+
+    @pytest.mark.parametrize("sigma", _LATTICE_SIGMAS)
+    def test_each_bound_is_the_last_lattice_point_at_or_below_t(self, sigma):
+        low, span = -sigma, 2.0 * sigma
+        t = lattice_thresholds(sigma)
+        bounds = _lattice_bounds(t, low, span)
+        k = bounds * 2.0**53
+        assert np.array_equal(k, np.floor(k)) and ((0 <= k) & (k < 2.0**53)).all()
+        assert (low + span * bounds <= t).all()
+        last = k == 2.0**53 - 1
+        above = low + span * ((k[~last] + 1) * 2.0**-53)
+        assert (above > t[~last]).all()
+
+    @pytest.mark.parametrize("sigma", _LATTICE_SIGMAS)
+    def test_counts_of_u_are_counts_of_eps(self, sigma):
+        low, span = -sigma, 2.0 * sigma
+        u = np.random.default_rng(4).random(5_000)
+        eps = low + span * u
+        t = np.unique(np.concatenate([lattice_thresholds(sigma), eps[:100]]))
+        counts = _count_at_most(u.copy(), _lattice_bounds(t, low, span))
+        assert counts.tolist() == [np.count_nonzero(eps <= v) for v in t.tolist()]
+
+    def test_chunks_in_one_reused_buffer_continue_the_whole_panel_stream(self):
+        n = 2 * _CHUNK + 3
+        whole = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0)).random(n)
+        rng = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0))
+        buffer = np.empty(_CHUNK)
+        for start in range(0, n, _CHUNK):
+            chunk = buffer[: n - start]
+            assert rng.random(out=chunk) is chunk
+            assert np.array_equal(chunk, whole[start : start + _CHUNK])
+
+    def test_one_agent_attack_probability(self):
+        # The rounding case: at sigma = 1e-10 and theta = x = 1e6 each signal
+        # rounds to one of three doubles, and one agent attacks with
+        # probability (k + 1) / 2**53 for the bound k * 2**-53, not 0.5.
+        sigma = 1e-10
+        t = _thresholds(np.array([1e6]), 1e6, -sigma, sigma)
+        k = _lattice_bounds(t, -sigma, 2.0 * sigma)[0] * 2.0**53
+        assert (k + 1) / 2.0**53 == 0.791038304567337
+        # At sigma = 0.5 the doubles are dense and it is the ramp, to a few
+        # lattice steps.
+        thetas = np.linspace(0.5, 1.5, 41)
+        t = _thresholds(thetas, 1.0, -HALF.sigma, HALF.sigma)
+        p = (_lattice_bounds(t, -HALF.sigma, 2.0 * HALF.sigma) * 2.0**53 + 1) / 2.0**53
+        assert np.abs(p - attack_mass(HALF, 1.0, thetas)).max() <= 4 * 2.0**-53
 
 
 class TestMemory:

@@ -240,12 +240,13 @@ class TestCompareWelfare:
 
 
 class TestCompareSlices:
-    # 33,001 points: nine slices, the last one partial.
+    # 33,001 points: whole slices and one partial last one.
     THETAS = [k * 2e-4 for k in range(33_001)]
 
     def test_slices_concatenate_to_the_whole_grid_curves(self):
         slices = list(compare_slices(WIDE, 0.8, 0.9, self.THETAS))
-        assert [len(cols[0]) for cols in slices] == [4_096] * 8 + [233]
+        full, rest = divmod(33_001, _SWEEP_SLICE)
+        assert [len(cols[0]) for cols in slices] == [_SWEEP_SLICE] * full + [rest]
         theta, region_low, attack_low, u_low, u_high, verdicts = (
             np.concatenate(col) for col in zip(*slices)
         )
@@ -301,8 +302,8 @@ class TestCompareSlices:
 
     @pytest.mark.parametrize("n", [1, _SWEEP_SLICE, _SWEEP_SLICE + 1, 16_384, 16_385])
     def test_compare_welfare_is_the_concatenated_slices(self, n):
-        # At one point, one full slice and one point past it, and four full
-        # slices and one point past them.
+        # At one point, one full slice and one point past it, and 16,384
+        # points (16 full slices) and one point past them.
         thetas = [k * 7.0 / n for k in range(n)]
         slices = list(compare_slices(WIDE, 0.8, 0.9, thetas))
         theta, region_low, attack_low, u_low, u_high, verdicts = (
@@ -387,11 +388,12 @@ class TestSweep:
         ]
 
     def test_slices_concatenate_to_the_whole_grid(self):
-        # 33,001 points: nine slices per r_prime, the last one partial.
+        # 33,001 points: whole slices per r_prime and one partial last one.
         thetas = [k * 1e-4 for k in range(33_001)]
         blocks = list(sweep(WIDE, [0.5, 0.8], thetas))
+        full, rest = divmod(33_001, _SWEEP_SLICE)
         assert [(r, len(part)) for r, part, *_ in blocks] == [
-            (r, n) for r in (0.5, 0.8) for n in [4_096] * 8 + [233]
+            (r, n) for r in (0.5, 0.8) for n in [_SWEEP_SLICE] * full + [rest]
         ]
         grid = np.array(thetas)
         for r_prime in (0.5, 0.8):
