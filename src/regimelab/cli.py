@@ -31,7 +31,11 @@ as the file is read; explicit flags win. Exit codes: 0 success, 1
 verification failures, 2 usage or domain errors, each one "error:" line,
 argparse's included. No command makes a BLAS call, so the CLI loads numpy
 with one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set, and leaves the
-environment as it found it.
+environment as it found it. No command hashes anything either, so main(),
+the console-script process, marks OpenSSL's _hashlib unimportable where
+CPython's builtin digest modules are present: numpy.random's secrets and
+hmac then load hashlib over those builtins, and libcrypto is never mapped.
+run() leaves the import system as it found it.
 """
 
 from __future__ import annotations
@@ -648,10 +652,24 @@ def run(argv: list[str]) -> int:
         return 2
 
 
+# The modules hashlib falls back on without _hashlib (CPython 3.12 merged
+# _sha256 and _sha512 into _sha2). A build without one of them, FIPS-style,
+# keeps _hashlib: hashlib would log each missing hash to stderr.
+_BUILTIN_DIGESTS = ("_md5", "_sha1", "_sha3", "_blake2") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
+
+
 def main() -> None:
     # A closed stdout pipe (`| head`) ends the process silently, as it ends Unix filters.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # Importing numpy.random imports hashlib, whose _hashlib maps OpenSSL's
+    # libcrypto (about 3.5 MiB resident) though no command hashes anything.
+    from importlib.util import find_spec
+
+    if all(find_spec(name) is not None for name in _BUILTIN_DIGESTS):
+        sys.modules.setdefault("_hashlib", None)
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()

@@ -150,7 +150,7 @@ GOLDENS = {
          "--theta", "0:0.00005:0.00001", "--format", "json"],
         "8e8b4d87ee0dc5d87fe44a08a96c67501e96bf44efd4e39a19c419794904714b", 916,
     ),
-    # 33,001 points per r_prime: three grid slices of statics.sweep, the
+    # 33,001 points per r_prime: 33 grid slices of statics.sweep, the
     # last one partial, in both formats.
     "welfare-sweep-slices-csv": (
         ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8",
@@ -162,7 +162,7 @@ GOLDENS = {
          "--theta", "0:3.3:0.0001", "--format", "json"],
         "1b60cff5808136fdc6a21abd018a64c20f51a0c7f2d084aed041d088e0a9b1ad", 10434438,
     ),
-    # The compare table over the same three slices, in both formats.
+    # The compare table over the same 33 slices, in both formats.
     "compare-slices-csv": (
         ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
          "--theta", "0:3.3:0.0001"],

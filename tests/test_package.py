@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import os
@@ -115,3 +116,97 @@ def test_the_package_alone_loads_no_numpy():
 @linux_only
 def test_the_library_leaves_blas_alone():
     assert after("import regimelab, regimelab.signaling") == after("import numpy")
+
+
+# --- how the CLI keeps OpenSSL out of its process -------------------------------
+
+_SIMULATE = [
+    "simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
+    "--theta", "0:1:0.5", "--agents", "1000", "--reps", "2", "--seed", "7",
+]
+_AT_EXIT = """
+import json, sys
+{before}
+from regimelab.cli import main
+sys.argv = ["regimelab", *{argv!r}]
+try:
+    main()
+except SystemExit as exit:
+    code = exit.code
+maps = open("/proc/self/maps").read()
+print(json.dumps([code, "libcrypto" in maps, repr(sys.modules.get("_hashlib", "absent"))]))
+"""
+
+linux_maps = pytest.mark.skipif(
+    not os.path.isfile("/proc/self/maps"), reason="reads the mappings in /proc/self/maps"
+)
+builtin_digests = pytest.mark.skipif(
+    not all(importlib.util.find_spec(name) for name in cli._BUILTIN_DIGESTS),
+    reason="this build lacks a builtin digest module, so the CLI keeps _hashlib",
+)
+
+
+def fresh(args, **kw):
+    """A fresh interpreter with this source tree first on its path."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, **kw
+    )
+
+
+def main_at_exit(out, before=""):
+    """[exit code, libcrypto mapped, repr of sys.modules' _hashlib] after main() writes out."""
+    proc = fresh(["-c", _AT_EXIT.format(before=before, argv=[*_SIMULATE, "--out", str(out)])])
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def in_process_bytes(tmp_path):
+    out = tmp_path / "in_process.csv"
+    assert cli.run([*_SIMULATE, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@linux_maps
+@builtin_digests
+def test_main_never_maps_libcrypto(tmp_path):
+    out = tmp_path / "main.csv"
+    assert main_at_exit(out) == [0, False, "None"]
+    assert out.read_bytes() == in_process_bytes(tmp_path)
+
+
+def test_run_leaves_hashlib_to_the_library(tmp_path):
+    # run() blocks nothing: it leaves _hashlib as importing numpy.random alone does.
+    report = "; print(repr(sys.modules.get('_hashlib', 'absent')))"
+    argv = [*_SIMULATE, "--out", str(tmp_path / "run.csv")]
+    via_run = fresh(["-c", f"import sys; from regimelab.cli import run; run({argv!r})" + report])
+    alone = fresh(["-c", "import sys, numpy.random" + report])
+    assert via_run.stderr == alone.stderr == ""
+    assert via_run.stdout == alone.stdout
+
+
+@builtin_digests
+def test_numpy_random_loads_over_the_builtin_digests():
+    proc = fresh(["-c", (
+        "import sys; sys.modules['_hashlib'] = None; "
+        "import secrets, hmac, hashlib, numpy.random; "
+        "print(hashlib.sha256(b'abc').hexdigest())"
+    )], check=True)
+    assert proc.stderr == ""
+    assert proc.stdout == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad\n"
+
+
+@linux_maps
+def test_without_a_builtin_digest_main_keeps_hashlib(tmp_path):
+    out = tmp_path / "main.csv"
+    code, _, hashlib_module = main_at_exit(out, before="sys.modules['_md5'] = None")
+    assert code == 0
+    assert hashlib_module.startswith("<module '_hashlib'")
+    assert out.read_bytes() == in_process_bytes(tmp_path)
+
+
+def test_the_cli_warns_of_nothing(tmp_path):
+    out = tmp_path / "main.csv"
+    proc = fresh(["-W", "error", "-m", "regimelab", *_SIMULATE, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == in_process_bytes(tmp_path)

@@ -287,7 +287,7 @@ class TestCompareSlices:
             next(slices)
 
     def test_peak_holds_the_grid_and_one_slice(self):
-        # 327,680 points, 80 slices. Building the six whole-grid arrays
+        # 327,680 points, 320 slices. Building the six whole-grid arrays
         # first peaked at about 21 MiB; a slice at a time, what stays is the
         # grid array of the checks, until the first slice, and one slice.
         thetas = [k * 2e-5 for k in range(327_680)]
