@@ -35,7 +35,11 @@ environment as it found it. No command hashes anything either, so main(),
 the console-script process, marks OpenSSL's _hashlib unimportable where
 CPython's builtin digest modules are present: numpy.random's secrets and
 hmac then load hashlib over those builtins, and libcrypto is never mapped.
-run() leaves the import system as it found it.
+Once stdout and stderr are flushed, main() ends the process by os._exit,
+which skips interpreter teardown (about 15 ms of finalization and C
+destructors a command). simulate draws its replications on up to two
+threads, which are joined before the command writes. run() leaves the
+import system as it found it, and returns its exit code to its caller.
 """
 
 from __future__ import annotations
@@ -673,14 +677,18 @@ def main() -> None:
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()
-    except OSError as exc:
-        # What stdout still holds cannot be written. fd 1 goes to the null
-        # device, so the interpreter's flush at exit does not fail on it again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # what stdout still holds cannot be written
         if code != 2:  # a run that exits 2 has reported its error already
             print(f"error: {_cannot_write('stdout', exc)}", file=sys.stderr)
             code = 2
-    sys.exit(code)
+    # Interpreter teardown (finalization, then numpy's and OpenBLAS's C
+    # destructors) costs about 15 ms a command and does nothing a command
+    # needs: the process ends here, with its streams flushed.
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # a stderr that cannot be written has nothing left to say
+    os._exit(code or 0)
 
 
 if __name__ == "__main__":

@@ -19,9 +19,17 @@ attacks or none of it does is counted without a draw. The others are
 counted against the sampler's own lattice: eps is -sigma + 2*sigma*u, with
 u = k * 2**-53 the generator's random() draw, and that map is monotone too,
 so eps is at or below a threshold exactly when u is at or below its
-lattice bound. Each replication's u arrive _CHUNK at a time, and are never
-mapped to eps. The counts are those that comparing every signal with the
-cutoff gives.
+lattice bound. The u arrive in chunks, and are never mapped to eps. The
+counts are those that comparing every signal with the cutoff gives.
+
+Replications are independent, so up to two worker threads draw them, the
+calling thread as the first; numpy releases the GIL while it draws and
+compares. The workers split one buffer of _CHUNK draws, a row each, and
+take replications in order under a lock, which also makes each one's
+generator, so the generators are made in replication order. A replication's
+counts land in its own column alone, so the matrix is bit for bit the
+serial one whatever the number of workers. With one usable CPU, one
+replication or no theta inside the support, no thread is started.
 
 A run fills one (theta, replication) matrix of attack fractions, theta-major,
 and reduces it row by row into one SimOutcome: float fields for a scalar
@@ -31,6 +39,8 @@ theta, arrays in grid order for a grid, as the curve functions return.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,11 +61,17 @@ _Z99 = 2.5758293035489004
 # agents x 20 replications is 2e9 draws, about 10 s at 5 ns a draw.
 _MAX_AGENTS = 100_000_000
 
-# Draws per random() call: 1 MiB of doubles, which stays in cache across the
-# passes over it. A sort spends about log2(_CHUNK) comparisons per draw, so
-# up to that many thresholds are counted by one comparison pass each.
+# Draws in flight: 1 MiB of doubles, which stays in cache across the passes
+# over it, split into one row per worker. A sort spends about log2(_CHUNK)
+# comparisons per draw, so up to that many thresholds are counted by one
+# comparison pass each.
 _CHUNK = 1 << 17
 _PASSES = _CHUNK.bit_length() - 1
+
+# The fewest draws per random() call of a worker. Serially, 2^16-draw chunks
+# cost 1.5% and 2^15-draw chunks 4% against 2^17, so _CHUNK is shared by at
+# most two workers; more than two cores is unmeasured.
+_MIN_SHARE = 1 << 16
 
 # A (theta, replication) cell holds 8 bytes in the attack-fraction matrix and
 # about 27 at the peak of scoring and aggregating it, so the bound is about
@@ -160,13 +176,20 @@ def _count_at_most(draws: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.searchsorted(draws, t, side="right")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _attack_fractions(
     params: ModelParams, thetas: np.ndarray, x_cutoff: float, config: SimConfig
 ) -> np.ndarray:
     """The (theta, replication) matrix of sample attack fractions.
 
-    Each replication draws its n_agents u through random() calls of at most
-    _CHUNK draws into one buffer, which continue one stream bit for bit, and
+    Each replication draws its n_agents u through random() calls into its
+    worker's row of the buffer, which continue one stream bit for bit, and
     counts each chunk against the lattice bound of every threshold inside
     the support. Nothing is drawn when no threshold is, as for an empty
     grid. Past _MAX_CELLS, the matrix is refused unallocated.
@@ -187,14 +210,48 @@ def _attack_fractions(
     inner = np.flatnonzero(t < sigma)
     inner = inner[np.argsort(t[inner])]  # ascending keys let searchsorted reuse its last bound
     bounds = _lattice_bounds(t[inner], -sigma, 2.0 * sigma)
-    buffer = np.empty(min(_CHUNK, config.n_agents))
-    for k in range(config.n_reps if inner.size else 0):
-        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-        for start in range(0, config.n_agents, _CHUNK):
-            chunk = buffer[: config.n_agents - start]
-            alphas[inner, k] += _count_at_most(rng.random(out=chunk), bounds)
+    if inner.size:
+        _count_replications(alphas, inner, bounds, config)
     alphas /= config.n_agents
     return alphas
+
+
+def _count_replications(
+    alphas: np.ndarray, inner: np.ndarray, bounds: np.ndarray, config: SimConfig
+) -> None:
+    """Add each replication's counts at or below bounds into rows inner of its column.
+
+    Replications go in order to the workers, this thread the first; an
+    exception in any of them is raised here once every worker has stopped.
+    """
+    workers = min(_usable_cpus(), config.n_reps, _CHUNK // _MIN_SHARE)
+    rows = np.empty((workers, min(_CHUNK // workers, config.n_agents)))
+    reps = iter(range(config.n_reps))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(row: np.ndarray) -> None:
+        try:
+            while True:
+                with lock:
+                    k = None if errors else next(reps, None)
+                    if k is None:
+                        return
+                    rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+                for start in range(0, config.n_agents, row.size):
+                    chunk = row[: config.n_agents - start]
+                    alphas[inner, k] += _count_at_most(rng.random(out=chunk), bounds)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(row,)) for row in rows[1:]]
+    for thread in threads:
+        thread.start()
+    work(rows[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _row_means(values: np.ndarray) -> np.ndarray:

@@ -1363,6 +1363,53 @@ def test_python_dash_m_regimelab_runs_the_cli():
     assert proc.stderr == ""
 
 
+# main() ends the process by os._exit, so nothing is flushed at teardown: an
+# unflushed stream loses its text. The children run buffered, as without
+# PYTHONUNBUFFERED. CPython line-buffers stderr, so its flush shows only where
+# stderr is block-buffered, as a program embedding main() may make it.
+_BUFFERED_STDERR = (
+    "import io, sys; "
+    "sys.stderr = io.TextIOWrapper(open(2, 'wb', closefd=False), encoding='utf-8'); "
+    "from regimelab.cli import main; sys.argv[0] = 'regimelab'; main()"
+)
+
+
+def _cli_process(args, stderr_buffered=False, **kw):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    entry = ["-c", _BUFFERED_STDERR] if stderr_buffered else ["-m", "regimelab"]
+    return subprocess.run([sys.executable, *entry, *args], env=env, timeout=120, check=False, **kw)
+
+
+class TestExitCodes:
+    def test_help_piped_to_a_file_is_complete(self, monkeypatch, tmp_path):
+        path = tmp_path / "help.txt"
+        with open(path, "w") as fh:
+            proc = _cli_process(["--help"], stdout=fh, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        monkeypatch.setenv("COLUMNS", "80")
+        assert path.read_text() == _build_parser().format_help()
+
+    @pytest.mark.parametrize("stderr_buffered", [False, True], ids=["python-m", "buffered"])
+    def test_failed_checks_exit_1_with_their_stderr_line(self, capsys, tmp_path, stderr_buffered):
+        argv = ["verify", "--sigma", "1e6", "--rbar", "0.2", "--out"]
+        proc = _cli_process([*argv, str(tmp_path / "main.csv")], stderr_buffered,
+                            capture_output=True, text=True)
+        assert run([*argv, str(tmp_path / "run.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify: ") and err.count("\n") == 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+        assert (tmp_path / "main.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize("stderr_buffered", [False, True], ids=["python-m", "buffered"])
+    def test_a_domain_error_exits_2_on_one_line(self, stderr_buffered):
+        proc = _cli_process(["continuation", "--sigma", "-1", "--r", "0.5"], stderr_buffered,
+                            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: sigma must be positive\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_a_closed_stdout_pipe_ends_the_process_silently():
     # About 840 kB of CSV, far past a pipe's buffer: the writes go on after

@@ -124,17 +124,22 @@ _SIMULATE = [
     "simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
     "--theta", "0:1:0.5", "--agents", "1000", "--reps", "2", "--seed", "7",
 ]
+# main() ends the process by os._exit, so the report is printed from inside it.
 _AT_EXIT = """
-import json, sys
+import json, os, sys
 {before}
 from regimelab.cli import main
 sys.argv = ["regimelab", *{argv!r}]
-try:
-    main()
-except SystemExit as exit:
-    code = exit.code
-maps = open("/proc/self/maps").read()
-print(json.dumps([code, "libcrypto" in maps, repr(sys.modules.get("_hashlib", "absent"))]))
+real_exit = os._exit
+
+def report_then_exit(code):
+    maps = open("/proc/self/maps").read()
+    print(json.dumps([code, "libcrypto" in maps, repr(sys.modules.get("_hashlib", "absent"))]))
+    sys.stdout.flush()
+    real_exit(code)
+
+os._exit = report_then_exit
+main()
 """
 
 linux_maps = pytest.mark.skipif(

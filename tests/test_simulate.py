@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from regimelab import (
     simulate_signaling,
     solve_signaling,
 )
+from regimelab import simulate
 from regimelab.model import cost
 from regimelab.simulate import (
     _CHUNK,
@@ -455,6 +458,100 @@ class TestChunkedDraws:
         assert np.count_nonzero(t < HALF.sigma) == passed
         assert got[[0, 1]].tolist() == [[1.0, 1.0]] * 2
         assert got[[2, -2, -1]].tolist() == [[0.0, 0.0]] * 3
+
+
+@pytest.fixture
+def switch_often():
+    """Let the interpreter switch threads at every chance it checks, forcing interleavings."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def workers_forced(monkeypatch, cpus):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n_agents", [1, _CHUNK // 2 - 1, _CHUNK // 2 + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("n_reps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("passed", [3, _PASSES + 1])
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_one_worker_and_two_give_the_same_bits(
+        self, request, monkeypatch, rng_calls, n_agents, n_reps, passed, interleaved
+    ):
+        # passed thetas lie inside the ramp: a few are counted by comparison
+        # passes, past _PASSES by sorting the worker's row in place.
+        if interleaved:
+            request.getfixturevalue("switch_often")
+        config = SimConfig(n_agents=n_agents, n_reps=n_reps, master_seed=n_reps)
+        thetas = np.concatenate([[0.0, math.nan], np.linspace(0.55, 1.45, passed), [3.0]])
+        workers_forced(monkeypatch, 1)
+        serial = _attack_fractions(HALF, thetas, 1.0, config)
+        workers_forced(monkeypatch, 2)
+        threaded = _attack_fractions(HALF, thetas, 1.0, config)
+        assert np.array_equal(threaded, serial)
+        assert np.array_equal(serial, ref_attack_fractions(HALF, thetas, 1.0, config))
+        # Generators are made in replication order, however the workers interleave.
+        in_order = [(_sub_seed(n_reps, _STREAM_REPS, k),) for k in range(n_reps)]
+        assert rng_calls == in_order + in_order + in_order
+
+    def test_generators_are_made_in_order_when_making_one_is_slow(self, monkeypatch, rng_calls):
+        # Seeding the even replications sleeps: a worker that took the next
+        # replication meanwhile would make its generator first.
+        workers_forced(monkeypatch, 2)
+        sub_seed = simulate._sub_seed
+
+        def slow_even(master_seed, stream, index):
+            if index % 2 == 0:
+                time.sleep(0.005)
+            return sub_seed(master_seed, stream, index)
+
+        monkeypatch.setattr(simulate, "_sub_seed", slow_even)
+        simulate_continuation(HALF, 0.25, [0.9, 1.0], 1.0, SimConfig(1000, 6, 3))
+        assert rng_calls == [(_sub_seed(3, _STREAM_REPS, k),) for k in range(6)]
+
+    def test_two_workers_draw_at_once(self, monkeypatch):
+        # Each replication meets the other at its one chunk: one thread alone
+        # would wait at the barrier until it breaks.
+        workers_forced(monkeypatch, 2)
+        barrier = threading.Barrier(2, timeout=30)
+        threads = set()
+        count_at_most = simulate._count_at_most
+
+        def meeting(draws, t):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return count_at_most(draws, t)
+
+        monkeypatch.setattr(simulate, "_count_at_most", meeting)
+        config = SimConfig(n_agents=1000, n_reps=2, master_seed=4)
+        got = _attack_fractions(HALF, np.array([1.0]), 1.0, config)
+        assert len(threads) == 2
+        assert np.array_equal(got, ref_attack_fractions(HALF, np.array([1.0]), 1.0, config))
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 5])
+    def test_an_error_in_any_replication_is_raised_after_every_worker_stops(
+        self, monkeypatch, switch_often, failing_call
+    ):
+        workers_forced(monkeypatch, 2)
+        calls = []
+        lock = threading.Lock()
+        count_at_most = simulate._count_at_most
+
+        def failing(draws, t):
+            with lock:
+                calls.append(None)
+                if len(calls) == failing_call:
+                    raise ArithmeticError(f"call {failing_call}")
+            return count_at_most(draws, t)
+
+        monkeypatch.setattr(simulate, "_count_at_most", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"call {failing_call}"):
+            simulate_continuation(HALF, 0.25, [0.9, 1.0], 1.0, SimConfig(1000, 5, 2))
+        assert threading.active_count() == before
 
 
 _LATTICE_SIGMAS = [5e-324, 1e-300, 1e-10, 0.5, 3.0, 8e307]
