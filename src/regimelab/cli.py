@@ -22,9 +22,11 @@ and one flat tuple of its cells, a JSON block a column at a time, one
 format call per float column and one join per block. --out is opened at
 the first write; an error after it removes the partial file if it is a
 regular one. A write that fails is one "cannot write" error line and exit
-2; a closed stdout pipe ends the process silently. Theta grids are written
-lo:hi:step, whose points never pass hi (hi itself is included when the
-span is a whole number of steps), or as a single number. Every number,
+2, as is a table for stdout when fd 1 was closed at start; with fd 2 closed
+at start, error lines are dropped, never written to stdout. A closed stdout
+pipe ends the process silently. Theta grids are written lo:hi:step,
+whose points never pass hi (hi itself is included when the span is a
+whole number of steps), or as a single number. Every number,
 read or written, must be finite. A flat key=value file passed via
 --config supplies defaults, each value checked against its option's choices
 as the file is read; explicit flags win. Exit codes: 0 success, 1
@@ -37,14 +39,14 @@ CPython's builtin digest modules are present: numpy.random's secrets and
 hmac then load hashlib over those builtins, and libcrypto is never mapped.
 Once stdout and stderr are flushed, main() ends the process by os._exit,
 which skips interpreter teardown (about 15 ms of finalization and C
-destructors a command). simulate draws its replications on up to two
-threads, which are joined before the command writes. run() leaves the
-import system as it found it, and returns its exit code to its caller.
+destructors a command). run() leaves the import system as it found it,
+and returns its exit code to its caller.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -359,6 +361,8 @@ class _Output:
     def write(self, text: str) -> None:
         try:
             if self.fh is None:
+                if self.path is None:  # fd 1 was closed when the process started
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 self.fh = open(self.path, "w", encoding="utf-8", newline="")
             self.fh.write(text)
         except OSError as exc:
@@ -674,9 +678,14 @@ def main() -> None:
 
     if all(find_spec(name) is not None for name in _BUILTIN_DIGESTS):
         sys.modules.setdefault("_hashlib", None)
+    # With fd 2 closed at start sys.stderr is None, and print(file=None)
+    # would put an error line on stdout: it goes to the null device instead.
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     code = run(sys.argv[1:])
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None with fd 1 closed: nothing was written to it
+            sys.stdout.flush()
     except OSError as exc:  # what stdout still holds cannot be written
         if code != 2:  # a run that exits 2 has reported its error already
             print(f"error: {_cannot_write('stdout', exc)}", file=sys.stderr)

@@ -10,26 +10,22 @@ suite checks.
 
 Replications are seeded independently: a counter-based mix (splitmix64) of
 the master seed, a stream tag, and the replication index yields each
-sub-seed, so results are bit-identical across runs. Each replication draws
-one noise stream, shared by every theta of a grid (common random numbers).
-Rounding is monotone, so fl(theta + eps) <= x_cutoff holds exactly when eps
-is at or below theta's threshold, found once per run by bisection over the
-doubles of the support [-sigma, sigma]. A theta where all of the support
-attacks or none of it does is counted without a draw. The others are
-counted against the sampler's own lattice: eps is -sigma + 2*sigma*u, with
-u = k * 2**-53 the generator's random() draw, and that map is monotone too,
-so eps is at or below a threshold exactly when u is at or below its
-lattice bound. The u arrive in chunks, and are never mapped to eps. The
-counts are those that comparing every signal with the cutoff gives.
-
-Replications are independent, so up to two worker threads draw them, the
-calling thread as the first; numpy releases the GIL while it draws and
-compares. The workers split one buffer of _CHUNK draws, a row each, and
-take replications in order under a lock, which also makes each one's
-generator, so the generators are made in replication order. A replication's
-counts land in its own column alone, so the matrix is bit for bit the
-serial one whatever the number of workers. With one usable CPU, one
-replication or no theta inside the support, no thread is started.
+sub-seed, so results are bit-identical across runs. Each replication makes
+one draw, shared by every theta of a grid (common random numbers), so its
+counts never rise as theta does. Rounding is monotone, so fl(theta + eps)
+<= x_cutoff holds exactly when eps is at or below theta's threshold, found
+once per run by bisection over the doubles of the support [-sigma, sigma].
+A theta where all of the support attacks or none of it does is counted
+without a draw. The others are counted on the sampler's own lattice: numpy
+draws eps as -sigma + 2*sigma*u, with u = k * 2**-53 uniform on k in
+[0, 2**53), and that map is monotone too, so eps is at or below a
+threshold exactly when u is at or below its lattice bound, and one agent
+attacks with the exact probability p_theta of uniform(), rounding
+included. A replication is one multinomial draw of n_agents over the
+lattice cells between the ascending bounds: each theta's count, a
+cumulative sum, is Binomial(n_agents, p_theta), as n_agents compared
+signals give, in work that does not grow with n_agents. A theta's draws
+depend on the grid around it, whose thresholds set the cells.
 
 A run fills one (theta, replication) matrix of attack fractions, theta-major,
 and reduces it row by row into one SimOutcome: float fields for a scalar
@@ -39,8 +35,6 @@ theta, arrays in grid order for a grid, as the curve functions return.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,22 +50,11 @@ _STREAM_REPS = 0
 # 99.5th percentile of the standard normal: 99% two-sided half-width.
 _Z99 = 2.5758293035489004
 
-# 100 times the 1e6 agents of the largest benchmark run. A replication holds
-# one _CHUNK of draws whatever n_agents is, so the bound is on time: 1e8
-# agents x 20 replications is 2e9 draws, about 10 s at 5 ns a draw.
+# 100 times the 1e6 agents of the largest benchmark run. A replication's
+# work does not grow with n_agents, so the bound is not on time: it fixes
+# the range of --agents the CLI accepts, far below 2**53, where every count
+# is an exact double.
 _MAX_AGENTS = 100_000_000
-
-# Draws in flight: 1 MiB of doubles, which stays in cache across the passes
-# over it, split into one row per worker. A sort spends about log2(_CHUNK)
-# comparisons per draw, so up to that many thresholds are counted by one
-# comparison pass each.
-_CHUNK = 1 << 17
-_PASSES = _CHUNK.bit_length() - 1
-
-# The fewest draws per random() call of a worker. Serially, 2^16-draw chunks
-# cost 1.5% and 2^15-draw chunks 4% against 2^17, so _CHUNK is shared by at
-# most two workers; more than two cores is unmeasured.
-_MIN_SHARE = 1 << 16
 
 # A (theta, replication) cell holds 8 bytes in the attack-fraction matrix and
 # about 27 at the peak of scoring and aggregating it, so the bound is about
@@ -165,34 +148,18 @@ def _lattice_bounds(t: np.ndarray, low: float, span: float) -> np.ndarray:
     return lo * 2.0**-53
 
 
-def _count_at_most(draws: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """For each threshold, the count of draws at or below it.
-
-    A pass per threshold, or past _PASSES thresholds one in-place sort of draws.
-    """
-    if t.size <= _PASSES:
-        return np.array([np.count_nonzero(draws <= v) for v in t.tolist()], dtype=np.int64)
-    draws.sort()
-    return np.searchsorted(draws, t, side="right")
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _attack_fractions(
     params: ModelParams, thetas: np.ndarray, x_cutoff: float, config: SimConfig
 ) -> np.ndarray:
     """The (theta, replication) matrix of sample attack fractions.
 
-    Each replication draws its n_agents u through random() calls into its
-    worker's row of the buffer, which continue one stream bit for bit, and
-    counts each chunk against the lattice bound of every threshold inside
-    the support. Nothing is drawn when no threshold is, as for an empty
-    grid. Past _MAX_CELLS, the matrix is refused unallocated.
+    The thresholds inside the support, in ascending order, cut the lattice
+    into cells; an agent attacks at the i-th of them with probability
+    p_i = (k_i + 1) * 2**-53 for its bound k_i * 2**-53. Each replication is
+    one multinomial draw of n_agents over the cells, and the count at a
+    threshold is the cumulative sum up to its cell. Nothing is drawn when
+    no threshold is inside, as for an empty grid. Past _MAX_CELLS, the
+    matrix is refused unallocated.
     """
     if thetas.size * config.n_reps > _MAX_CELLS:
         raise DomainError(
@@ -208,50 +175,17 @@ def _attack_fractions(
     t = _thresholds(thetas, x_cutoff, -sigma, sigma)
     alphas[t == sigma] = config.n_agents
     inner = np.flatnonzero(t < sigma)
-    inner = inner[np.argsort(t[inner])]  # ascending keys let searchsorted reuse its last bound
-    bounds = _lattice_bounds(t[inner], -sigma, 2.0 * sigma)
     if inner.size:
-        _count_replications(alphas, inner, bounds, config)
+        inner = inner[np.argsort(t[inner])]  # ascending, so no cell is negative
+        # Each p_i and each difference of two is a multiple of 2**-53 in
+        # [0, 1], so exact: the cells sum to exactly 1.
+        p = _lattice_bounds(t[inner], -sigma, 2.0 * sigma) + 2.0**-53
+        cells = np.diff(p, prepend=0.0, append=1.0)
+        for k in range(config.n_reps):
+            rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+            alphas[inner, k] = np.cumsum(rng.multinomial(config.n_agents, cells)[:-1])
     alphas /= config.n_agents
     return alphas
-
-
-def _count_replications(
-    alphas: np.ndarray, inner: np.ndarray, bounds: np.ndarray, config: SimConfig
-) -> None:
-    """Add each replication's counts at or below bounds into rows inner of its column.
-
-    Replications go in order to the workers, this thread the first; an
-    exception in any of them is raised here once every worker has stopped.
-    """
-    workers = min(_usable_cpus(), config.n_reps, _CHUNK // _MIN_SHARE)
-    rows = np.empty((workers, min(_CHUNK // workers, config.n_agents)))
-    reps = iter(range(config.n_reps))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work(row: np.ndarray) -> None:
-        try:
-            while True:
-                with lock:
-                    k = None if errors else next(reps, None)
-                    if k is None:
-                        return
-                    rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-                for start in range(0, config.n_agents, row.size):
-                    chunk = row[: config.n_agents - start]
-                    alphas[inner, k] += _count_at_most(rng.random(out=chunk), bounds)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(row,)) for row in rows[1:]]
-    for thread in threads:
-        thread.start()
-    work(rows[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _row_means(values: np.ndarray) -> np.ndarray:
@@ -306,8 +240,8 @@ def simulate_continuation(
     [-sigma, sigma], attack iff the signal is at or below x_cutoff, abandon
     iff theta <= attack fraction (ties fall), score the policymaker at the
     realized attack fraction. A scalar theta gives float fields; a grid
-    gives arrays in grid order, each entry as its own draw would: one panel
-    serves every theta.
+    gives arrays in grid order, from one draw per replication shared by
+    every theta.
     """
     if not r >= 0.0:
         raise DomainError("r must be nonnegative")

@@ -1409,6 +1409,35 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: sigma must be positive\n"
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize("case", ["table", "out", "refusal"])
+    @pytest.mark.parametrize("closed", [1, 2], ids=["fd1-closed", "fd2-closed"])
+    def test_a_stream_closed_at_start_gets_an_answer_or_one_exit_2(
+        self, capsys, tmp_path, closed, case
+    ):
+        # As `>&-` or `2>&-` leaves it: Python then starts with sys.stdout or
+        # sys.stderr None. It used to end in a traceback and exit 1, and with
+        # fd 2 closed a refusal's error line went to stdout.
+        args = {"table": ["continuation", "--sigma", "0.5", "--r", "0.25"],
+                "out": ["continuation", "--sigma", "0.5", "--r", "0.25", "--out"],
+                "refusal": ["continuation", "--sigma", "-1", "--r", "0.25"]}[case]
+        main_args = [*args, str(tmp_path / "main.csv")] if case == "out" else args
+        proc = _cli_process(main_args, capture_output=True, text=True,
+                            preexec_fn=lambda: os.close(closed))
+        run_args = [*args, str(tmp_path / "run.csv")] if case == "out" else args
+        code = run(run_args)
+        want = capsys.readouterr()
+        if case == "out":
+            assert (tmp_path / "main.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+        if closed == 1:
+            if case == "table":
+                code = 2
+                want = want._replace(
+                    err=f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n")
+            assert (proc.returncode, proc.stderr) == (code, want.err)
+        else:
+            assert (proc.returncode, proc.stdout) == (code, want.out)
+
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_a_closed_stdout_pipe_ends_the_process_silently():

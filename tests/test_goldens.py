@@ -14,7 +14,9 @@ through format, parse and repr, before the .9g text came to be kept where it
 already is that repr, and the multi-slice JSON sweep, the slice-crossing
 compare tables and the two benchmark workloads from the writer that built
 the whole table before writing it, before tables came to be written block
-by block.
+by block. The six simulate goldens were recorded again when a replication
+came to be one multinomial draw over the lattice cells, in place of one
+uniform draw per agent.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -52,7 +54,7 @@ GOLDENS = {
     "simulate-csv": (
         ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25", "--theta", "1.0",
          "--agents", "100000", "--reps", "20", "--seed", "42"],
-        "e89021f3c0b839d0043cbf8e183c1f698930355bca019a2a68327d3d8d743192", 175,
+        "ecc27f9aebd71839a02c915999987ffe99aa9ec521d2997101f9225347e27f0a", 175,
     ),
     "verify-json": (
         ["verify"],
@@ -91,30 +93,30 @@ GOLDENS = {
     "simulate-grid-continuation-csv": (
         ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
          "--theta", "0:1:0.05", "--agents", "20000", "--reps", "7"],
-        "c24f42ca4fa82d09ae768f79cb2b8a5bd68215caf6c584fc06df8a320cda7ea8", 1564,
+        "848679604f7aa7c0b57097142612a09767361573903b806345232fe073734e7a", 1558,
     ),
     "simulate-grid-signaling-csv": (
         ["simulate", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
          "--theta=-1:8:0.25"],
-        "92851ed0d01ae8f21b36b8435ff395eac196e3b0736dfd6fab87fec2f858d13a", 2101,
+        "8ecb8d92e4687fadd4fd92b2b859f4b0e92070ca14c780c9048c56c390748b64", 2105,
     ),
     "simulate-grid-signaling-json": (
         ["simulate", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
          "--theta=-1:8:0.25", "--format", "json"],
-        "df3845c6de5f18cad551dc152cf1b2036f91f9030124ef19b1cc647bbf02e3d1", 10126,
+        "6d062cc9615b5f9369e3c45ed9af0c1dd23641760a1941120c45b10c330cf7bb", 10130,
     ),
     # At sigma = 1e-10 and theta = x = 1e6 every signal theta + eps rounds to
     # a neighbour of theta, so the attack count hinges on rounding alone.
     "simulate-rounding-csv": (
         ["simulate", "--sigma", "1e-10", "--rbar", "0.2", "--r", "0.5",
          "--x-cutoff", "1000000", "--theta", "1000000", "--agents", "1000000", "--reps", "3"],
-        "69e2b18c461ab0ab4275452e3f477e498472e62732e329e5ba7bce7a06d6cbaf", 193,
+        "8392c5f2b2d529bb176f86b9b9ca051f49806f8a9385f60232cad8e3f462662b", 193,
     ),
-    # A dense continuation grid: 1,001 theta on one panel per replication.
+    # A dense continuation grid: 1,001 theta on one draw per replication.
     "simulate-dense-grid-csv": (
         ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25",
          "--theta", "0:1:0.001", "--agents", "20000", "--reps", "7"],
-        "893cccb44053cd2be764c624352ae0f9f3401d85141de2034450e8a4775ff22a", 71344,
+        "2975632711366848d73733ceafb264562149ae4b0d674326851170619d50c809", 71431,
     ),
     # JSON encoder edge cases: the single signalling object, a float whose
     # 9-digit rounding prints differently as .9g (1e+09) and as a float repr

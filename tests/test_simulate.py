@@ -1,9 +1,8 @@
 """Finite-agent Monte Carlo against the continuum quantities."""
 
+import itertools
 import math
 import sys
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -23,11 +22,8 @@ from regimelab import (
 from regimelab import simulate
 from regimelab.model import cost
 from regimelab.simulate import (
-    _CHUNK,
-    _PASSES,
     _STREAM_REPS,
     _attack_fractions,
-    _count_at_most,
     _lattice_bounds,
     _row_means,
     _sub_seed,
@@ -50,7 +46,7 @@ class TestSimConfig:
             SimConfig(n_agents=1, n_reps=1, master_seed=-1)
         with pytest.raises(DomainError):
             SimConfig(n_agents=1, n_reps=1, master_seed=2**64)
-        # Above 1e8 agents a replication would hold more than 800 MB.
+        # --agents accepts at most 1e8.
         SimConfig(n_agents=10**8, n_reps=1, master_seed=1)
         with pytest.raises(DomainError):
             SimConfig(n_agents=10**8 + 1, n_reps=1, master_seed=1)
@@ -125,9 +121,12 @@ class TestSimulateSignaling:
         assert outcome.fall_frequency == 1.0
 
 
-# --- reference: the per-theta Monte Carlo the grid routine replaced ----------
+# --- reference: per-theta scoring of the run's own draws --------------------
 # A self-contained copy of the scalar code: one theta at a time, one
-# replication at a time, aggregated from Python lists.
+# replication at a time, aggregated from Python lists. A grid's thetas share
+# one draw per replication, so each theta's attack fractions are the row the
+# run itself drew for it; what is checked is the scoring, the aggregation
+# and the shapes.
 
 FIELDS = ("alpha_mean", "alpha_halfwidth", "fall_frequency", "welfare_mean")
 Z99 = 2.5758293035489004
@@ -172,12 +171,9 @@ def ref_payoff(params, r, abandon, theta, alpha):
     return -c if abandon else (theta - alpha) - c
 
 
-def ref_simulate_continuation(params, r, theta, x_cutoff, config):
+def ref_simulate_continuation(params, r, theta, row):
     alphas, falls, welfares = [], [], []
-    for k in range(config.n_reps):
-        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-        signals = theta + rng.uniform(-params.sigma, params.sigma, config.n_agents)
-        alpha = float(np.count_nonzero(signals <= x_cutoff)) / config.n_agents
+    for alpha in row.tolist():
         abandon = theta <= alpha
         alphas.append(alpha)
         falls.append(abandon)
@@ -185,14 +181,14 @@ def ref_simulate_continuation(params, r, theta, x_cutoff, config):
     return ref_aggregate(alphas, falls, welfares)
 
 
-def ref_simulate_signaling(params, eq, theta, config):
+def ref_simulate_signaling(params, eq, theta, row):
     if eq.theta_lower <= theta <= eq.theta_upper:
         # Deterministic on the band: nobody attacks, the regime stands, and
         # the policymaker nets theta - cost(r_prime) in every replication.
         d = eq.r_prime - params.r_lower
-        n = config.n_reps
+        n = len(row)
         return ref_aggregate([0.0] * n, [False] * n, [theta - 0.5 * d * d] * n)
-    return ref_simulate_continuation(params, params.r_lower, theta, eq.x_prime, config)
+    return ref_simulate_continuation(params, params.r_lower, theta, row)
 
 
 def assert_matches(outcome, refs):
@@ -225,43 +221,62 @@ def rng_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def run_rows(monkeypatch):
+    """The attack-fraction matrices that simulate's runs draw, in call order."""
+    drawn = []
+    attack_fractions = simulate._attack_fractions
+
+    def recording(*args):
+        alphas = attack_fractions(*args)
+        drawn.append(alphas.copy())
+        return alphas
+
+    monkeypatch.setattr(simulate, "_attack_fractions", recording)
+    return drawn
+
+
 class TestGridMatchesPerThetaCode:
     @pytest.mark.parametrize("n_reps", [1, 4, 20])
-    def test_signaling_grid_across_band_edges(self, n_reps):
+    def test_signaling_grid_across_band_edges(self, run_rows, n_reps):
         eq = solve_signaling(WIDE, 0.8)
         config = SimConfig(n_agents=3000, n_reps=n_reps, master_seed=9)
         grid = [-1.0, 0.05, *_around(eq.theta_lower), 2.0,
                 *_around(eq.theta_upper), 5.0, 8.0]
+        outcome = simulate_signaling(WIDE, eq, grid, config)
+        [alphas] = run_rows
         assert_matches(
-            simulate_signaling(WIDE, eq, grid, config),
-            [ref_simulate_signaling(WIDE, eq, t, config) for t in grid],
+            outcome, [ref_simulate_signaling(WIDE, eq, t, row) for t, row in zip(grid, alphas)]
         )
 
     @pytest.mark.parametrize("n_reps", [1, 5, 20])
-    def test_continuation_grid(self, n_reps):
+    def test_continuation_grid(self, run_rows, n_reps):
         config = SimConfig(n_agents=3000, n_reps=n_reps, master_seed=42)
         x_cutoff = closed_form_thresholds(HALF, 0.25).x_cutoff
         grid = [0.05 * k for k in range(21)] + _around(0.75, x_cutoff - 0.5, x_cutoff + 0.5)
+        outcome = simulate_continuation(HALF, 0.25, grid, x_cutoff, config)
+        [alphas] = run_rows
         assert_matches(
-            simulate_continuation(HALF, 0.25, grid, x_cutoff, config),
-            [ref_simulate_continuation(HALF, 0.25, t, x_cutoff, config) for t in grid],
+            outcome, [ref_simulate_continuation(HALF, 0.25, t, row) for t, row in zip(grid, alphas)]
         )
 
-    def test_fall_rule_ties(self):
+    def test_fall_rule_ties(self, run_rows):
         # With four agents alpha is a multiple of 1/4, so the regime ties
         # (theta == alpha) at theta = 0.25, 0.5 and 0.75 in many replications:
         # a tie falls, in the grid as in the per-theta code.
         config = SimConfig(n_agents=4, n_reps=20, master_seed=5)
         grid = [0.25, 0.5, 0.75]
         outcome = simulate_continuation(HALF, 1.0, grid, 1.0, config)
-        refs = [ref_simulate_continuation(HALF, 1.0, t, 1.0, config) for t in grid]
+        [alphas] = run_rows
+        refs = [ref_simulate_continuation(HALF, 1.0, t, row) for t, row in zip(grid, alphas)]
         assert_matches(outcome, refs)
         assert outcome.fall_frequency[2] > 0.0
+        assert np.count_nonzero(alphas == np.array(grid)[:, None]) > 0
 
-    def test_scalar_theta_returns_one_outcome(self):
+    def test_scalar_theta_returns_one_outcome(self, run_rows):
         config = SimConfig(n_agents=3000, n_reps=3, master_seed=1)
         outcome = simulate_continuation(HALF, 0.25, 0.9, 1.0, config)
-        ref = ref_simulate_continuation(HALF, 0.25, 0.9, 1.0, config)
+        ref = ref_simulate_continuation(HALF, 0.25, 0.9, run_rows[0][0])
         for field in FIELDS:
             value = getattr(outcome, field)
             assert type(value) is float and value == ref[field], field
@@ -293,7 +308,7 @@ def _attack_counts(panel: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np
     t = _thresholds(thetas, x_cutoff, panel.min(), high)
     counts = np.where(t == high, panel.size, 0)
     inner = t < high
-    counts[inner] = _count_at_most(panel.copy(), t[inner])
+    counts[inner] = [np.count_nonzero(panel <= v) for v in t[inner].tolist()]
     return counts
 
 
@@ -424,134 +439,122 @@ class TestThresholds:
         assert np.isnan(_thresholds(np.array([0.0, 1.0]), math.nan, -0.5, 0.5)).all()
 
 
-def ref_attack_fractions(params, thetas, x_cutoff, config):
-    """Each replication's whole panel in one uniform call, every signal compared."""
-    alphas = np.zeros((thetas.size, config.n_reps))
-    for k in range(config.n_reps):
-        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-        eps = rng.uniform(-params.sigma, params.sigma, config.n_agents)
-        for i, theta in enumerate(thetas):
-            alphas[i, k] = np.count_nonzero(theta + eps <= x_cutoff)
-    return alphas / config.n_agents
+def lattice_probabilities(thetas, x_cutoff, sigma):
+    """Each theta's one-agent attack probability under uniform(-sigma, sigma): the
+    share (k + 1) / 2**53 of the lattice at or below its bound k * 2**-53."""
+    t = _thresholds(thetas, x_cutoff, -sigma, sigma)
+    return (_lattice_bounds(t, -sigma, 2.0 * sigma) * 2.0**53 + 1) / 2.0**53
 
 
-class TestChunkedDraws:
-    def test_chunks_continue_the_whole_panel_stream(self):
-        n = 2 * _CHUNK + 3
-        whole = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0)).uniform(-0.5, 0.5, n)
-        rng = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0))
-        chunks = [rng.uniform(-0.5, 0.5, min(_CHUNK, n - s)) for s in range(0, n, _CHUNK)]
-        assert np.array_equal(np.concatenate(chunks), whole)
+class _CountingGenerator:
+    """A numpy Generator that records the size of each array it returns."""
 
-    @pytest.mark.parametrize("n_agents", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
-    @pytest.mark.parametrize("passed", [_PASSES, _PASSES + 1])
-    def test_matches_the_whole_panel(self, n_agents, passed):
-        # passed thetas lie strictly inside the ramp; with them go thetas that
+    def __init__(self, generator, sizes):
+        self._generator, self._sizes = generator, sizes
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self._sizes.append(out.size)
+            return out
+
+        return counted
+
+
+class TestMultinomialDraws:
+    # Bernstein's inequality, as in TestCalibratedAttackMass: over R
+    # replications, an outcome of probability q has a frequency within
+    # k sqrt(q (1 - q) / R) + k^2 / (3R) of q with probability at least
+    # 1 - 2 exp(-k^2 / 2). For k = 7 that is 4.6e-11 per outcome, and by a
+    # union bound over the 20 outcomes of positive probability in the two
+    # cases, a false-alarm rate below 1e-9.
+    K = 7
+
+    @pytest.mark.parametrize(
+        "n_agents, thetas", [(3, [1.1, 0.8]), (2, [0.7, 1.3, 1.0])], ids=["3-agents", "2-agents"]
+    )
+    def test_joint_counts_follow_the_multinomial_law(self, n_agents, thetas):
+        # One replication's counts at the thetas, jointly: the agents fall
+        # into the lattice cells between the ascending bounds independently.
+        reps = 20_000
+        thetas = np.array(thetas)
+        config = SimConfig(n_agents=n_agents, n_reps=reps, master_seed=6)
+        counts = np.rint(_attack_fractions(HALF, thetas, 1.0, config) * n_agents).astype(int)
+        observed = {}
+        for outcome in map(tuple, counts.T.tolist()):
+            observed[outcome] = observed.get(outcome, 0) + 1
+        p = lattice_probabilities(thetas, 1.0, HALF.sigma)
+        order = np.argsort(p)
+        cells = np.diff(p[order], prepend=0.0, append=1.0)
+        possible = 0
+        for outcome in itertools.product(range(n_agents + 1), repeat=thetas.size):
+            ascending = np.array(outcome)[order]
+            per_cell = np.diff(ascending, prepend=0, append=n_agents)
+            if (per_cell < 0).any():
+                assert outcome not in observed, outcome
+                continue
+            possible += 1
+            q = math.factorial(n_agents) * math.prod(
+                c**m / math.factorial(m) for c, m in zip(cells.tolist(), per_cell.tolist())
+            )
+            bound = self.K * math.sqrt(q * (1.0 - q) / reps) + self.K**2 / (3 * reps)
+            assert abs(observed.get(outcome, 0) / reps - q) <= bound, (outcome, q)
+        assert possible == 10 and len(observed) == possible
+
+    def test_rounding_regime(self):
+        # ulp(1e6) = 1.16e-10 > sigma: one agent attacks at theta = x = 1e6
+        # with the lattice's probability, not the ramp's 0.5.
+        params = ModelParams(sigma=1e-10, r_lower=0.2)
+        config = SimConfig(n_agents=100_000, n_reps=20, master_seed=11)
+        outcome = simulate_continuation(params, 0.25, 1e6, 1e6, config)
+        p = 0.791038304567337
+        assert lattice_probabilities(np.array([1e6]), 1e6, params.sigma)[0] == p
+        draws = config.n_agents * config.n_reps
+        bound = self.K * math.sqrt(p * (1.0 - p) / draws) + self.K**2 / (3 * draws)
+        assert abs(outcome.alpha_mean - p) <= bound
+
+    def test_counts_never_rise_with_theta(self):
+        thetas = np.random.default_rng(2).permutation(np.linspace(0.3, 1.7, 57))
+        config = SimConfig(n_agents=40, n_reps=30, master_seed=8)
+        alphas = _attack_fractions(HALF, thetas, 1.0, config)[np.argsort(thetas)]
+        assert (np.diff(alphas, axis=0) <= 0.0).all()
+        assert 0.0 < alphas.mean() < 1.0
+
+    def test_work_does_not_grow_with_n_agents(self, monkeypatch):
+        sizes = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: _CountingGenerator(default_rng(*a), sizes))
+        config = SimConfig(n_agents=10**6, n_reps=20, master_seed=42)
+        thetas = np.linspace(0.0, 1.0, 21)
+        simulate_continuation(HALF, 0.25, thetas, 1.0, config)
+        inner = np.count_nonzero(_thresholds(thetas, 1.0, -HALF.sigma, HALF.sigma) < HALF.sigma)
+        assert inner == 10
+        assert 0 < sum(sizes) <= config.n_reps * (inner + 1)
+
+    def test_multinomial_stream(self):
+        # The counts are Generator.multinomial's. NEP 19 does not keep a
+        # Generator method's stream stable across numpy versions: a numpy
+        # that changes multinomial fails here, and the simulate goldens move.
+        rng = np.random.default_rng(_sub_seed(42, _STREAM_REPS, 0))
+        draw = rng.multinomial(10**6, [0.25, 0.5, 0.0, 0.25])
+        assert draw.tolist() == [249517, 500276, 0, 250207]
+        assert rng.multinomial(3, [2.0**-53, 0.5 - 2.0**-53, 0.5]).tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("n_agents", [1, 2, 10**6])
+    def test_rows_outside_the_ramp_are_exact(self, n_agents):
+        # Three thetas lie strictly inside the ramp; with them go thetas that
         # count every agent or none, and a NaN, which are not drawn for.
         config = SimConfig(n_agents=n_agents, n_reps=2, master_seed=n_agents)
-        x_cutoff = 1.0
-        inner = np.linspace(0.55, 1.45, passed)
-        thetas = np.concatenate([[0.0, 0.5, math.nan], inner, [1.6, 3.0]])
-        got = _attack_fractions(HALF, thetas, x_cutoff, config)
-        assert np.array_equal(got, ref_attack_fractions(HALF, thetas, x_cutoff, config))
-        t = _thresholds(thetas, x_cutoff, -HALF.sigma, HALF.sigma)
-        assert np.count_nonzero(t < HALF.sigma) == passed
+        thetas = np.concatenate([[0.0, 0.5, math.nan], np.linspace(0.55, 1.45, 3), [1.6, 3.0]])
+        got = _attack_fractions(HALF, thetas, 1.0, config)
+        t = _thresholds(thetas, 1.0, -HALF.sigma, HALF.sigma)
+        assert np.count_nonzero(t < HALF.sigma) == 3
         assert got[[0, 1]].tolist() == [[1.0, 1.0]] * 2
         assert got[[2, -2, -1]].tolist() == [[0.0, 0.0]] * 3
-
-
-@pytest.fixture
-def switch_often():
-    """Let the interpreter switch threads at every chance it checks, forcing interleavings."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    yield
-    sys.setswitchinterval(interval)
-
-
-def workers_forced(monkeypatch, cpus):
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("n_agents", [1, _CHUNK // 2 - 1, _CHUNK // 2 + 1, 2 * _CHUNK + 3])
-    @pytest.mark.parametrize("n_reps", [1, 2, 3, 5])
-    @pytest.mark.parametrize("passed", [3, _PASSES + 1])
-    @pytest.mark.parametrize("interleaved", [False, True])
-    def test_one_worker_and_two_give_the_same_bits(
-        self, request, monkeypatch, rng_calls, n_agents, n_reps, passed, interleaved
-    ):
-        # passed thetas lie inside the ramp: a few are counted by comparison
-        # passes, past _PASSES by sorting the worker's row in place.
-        if interleaved:
-            request.getfixturevalue("switch_often")
-        config = SimConfig(n_agents=n_agents, n_reps=n_reps, master_seed=n_reps)
-        thetas = np.concatenate([[0.0, math.nan], np.linspace(0.55, 1.45, passed), [3.0]])
-        workers_forced(monkeypatch, 1)
-        serial = _attack_fractions(HALF, thetas, 1.0, config)
-        workers_forced(monkeypatch, 2)
-        threaded = _attack_fractions(HALF, thetas, 1.0, config)
-        assert np.array_equal(threaded, serial)
-        assert np.array_equal(serial, ref_attack_fractions(HALF, thetas, 1.0, config))
-        # Generators are made in replication order, however the workers interleave.
-        in_order = [(_sub_seed(n_reps, _STREAM_REPS, k),) for k in range(n_reps)]
-        assert rng_calls == in_order + in_order + in_order
-
-    def test_generators_are_made_in_order_when_making_one_is_slow(self, monkeypatch, rng_calls):
-        # Seeding the even replications sleeps: a worker that took the next
-        # replication meanwhile would make its generator first.
-        workers_forced(monkeypatch, 2)
-        sub_seed = simulate._sub_seed
-
-        def slow_even(master_seed, stream, index):
-            if index % 2 == 0:
-                time.sleep(0.005)
-            return sub_seed(master_seed, stream, index)
-
-        monkeypatch.setattr(simulate, "_sub_seed", slow_even)
-        simulate_continuation(HALF, 0.25, [0.9, 1.0], 1.0, SimConfig(1000, 6, 3))
-        assert rng_calls == [(_sub_seed(3, _STREAM_REPS, k),) for k in range(6)]
-
-    def test_two_workers_draw_at_once(self, monkeypatch):
-        # Each replication meets the other at its one chunk: one thread alone
-        # would wait at the barrier until it breaks.
-        workers_forced(monkeypatch, 2)
-        barrier = threading.Barrier(2, timeout=30)
-        threads = set()
-        count_at_most = simulate._count_at_most
-
-        def meeting(draws, t):
-            threads.add(threading.get_ident())
-            barrier.wait()
-            return count_at_most(draws, t)
-
-        monkeypatch.setattr(simulate, "_count_at_most", meeting)
-        config = SimConfig(n_agents=1000, n_reps=2, master_seed=4)
-        got = _attack_fractions(HALF, np.array([1.0]), 1.0, config)
-        assert len(threads) == 2
-        assert np.array_equal(got, ref_attack_fractions(HALF, np.array([1.0]), 1.0, config))
-
-    @pytest.mark.parametrize("failing_call", [1, 2, 5])
-    def test_an_error_in_any_replication_is_raised_after_every_worker_stops(
-        self, monkeypatch, switch_often, failing_call
-    ):
-        workers_forced(monkeypatch, 2)
-        calls = []
-        lock = threading.Lock()
-        count_at_most = simulate._count_at_most
-
-        def failing(draws, t):
-            with lock:
-                calls.append(None)
-                if len(calls) == failing_call:
-                    raise ArithmeticError(f"call {failing_call}")
-            return count_at_most(draws, t)
-
-        monkeypatch.setattr(simulate, "_count_at_most", failing)
-        before = threading.active_count()
-        with pytest.raises(ArithmeticError, match=f"call {failing_call}"):
-            simulate_continuation(HALF, 0.25, [0.9, 1.0], 1.0, SimConfig(1000, 5, 2))
-        assert threading.active_count() == before
 
 
 _LATTICE_SIGMAS = [5e-324, 1e-300, 1e-10, 0.5, 3.0, 8e307]
@@ -594,18 +597,9 @@ class TestSamplerLattice:
         u = np.random.default_rng(4).random(5_000)
         eps = low + span * u
         t = np.unique(np.concatenate([lattice_thresholds(sigma), eps[:100]]))
-        counts = _count_at_most(u.copy(), _lattice_bounds(t, low, span))
+        counts = np.array([np.count_nonzero(u <= b)
+                           for b in _lattice_bounds(t, low, span).tolist()])
         assert counts.tolist() == [np.count_nonzero(eps <= v) for v in t.tolist()]
-
-    def test_chunks_in_one_reused_buffer_continue_the_whole_panel_stream(self):
-        n = 2 * _CHUNK + 3
-        whole = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0)).random(n)
-        rng = np.random.default_rng(_sub_seed(1, _STREAM_REPS, 0))
-        buffer = np.empty(_CHUNK)
-        for start in range(0, n, _CHUNK):
-            chunk = buffer[: n - start]
-            assert rng.random(out=chunk) is chunk
-            assert np.array_equal(chunk, whole[start : start + _CHUNK])
 
     def test_one_agent_attack_probability(self):
         # The rounding case: at sigma = 1e-10 and theta = x = 1e6 each signal
