@@ -1438,6 +1438,33 @@ class TestExitCodes:
         else:
             assert (proc.returncode, proc.stdout) == (code, want.out)
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [
+        ["continuation", "--sigma", "0.5", "--r", "0.25"],
+        ["signaling", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8"],
+        ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8",
+         "--theta", "0:3:0.5"],
+        ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
+         "--theta", "0:3:0.5"],
+        ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25", "--theta", "0:1:0.25",
+         "--agents", "1000", "--reps", "3"],
+        ["verify", "--sigma", "0.5", "--rbar", "0.2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("closed", [1, 2], ids=["fd1-closed", "fd2-closed"])
+    def test_each_command_with_a_stream_closed_at_start(self, capsys, closed, command, fmt):
+        # Tables and records alike: with fd 1 closed, one "cannot write
+        # stdout" line and exit 2; with fd 2 closed, run()'s output and code.
+        args = [*command, "--format", fmt]
+        proc = _cli_process(args, capture_output=True, text=True,
+                            preexec_fn=lambda: os.close(closed))
+        if closed == 1:
+            want = f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+            assert (proc.returncode, proc.stderr) == (2, want)
+        else:
+            code = run(args)
+            assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_a_closed_stdout_pipe_ends_the_process_silently():

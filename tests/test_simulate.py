@@ -557,6 +557,59 @@ class TestMultinomialDraws:
         assert got[[2, -2, -1]].tolist() == [[0.0, 0.0]] * 3
 
 
+def ref_attack_fractions(params, thetas, x_cutoff, config):
+    """Each replication's one multinomial draw over the cells between 0, the
+    drawn thetas' lattice probabilities in ascending order, and 1; a theta
+    counts the agents in every cell at or below its own probability."""
+    sigma = params.sigma
+    t = _thresholds(thetas, x_cutoff, -sigma, sigma)
+    drawn = np.flatnonzero(t < sigma)
+    p = lattice_probabilities(thetas[drawn], x_cutoff, sigma)
+    upper = np.append(np.sort(p), 1.0)
+    cells = np.diff(upper, prepend=0.0)
+    alphas = np.repeat(np.where(t == sigma, 1.0, 0.0)[:, None], config.n_reps, axis=1)
+    for k in range(config.n_reps if drawn.size else 0):
+        rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
+        per_cell = rng.multinomial(config.n_agents, cells)
+        for i, p_i in zip(drawn.tolist(), p.tolist()):
+            below = np.searchsorted(upper, p_i, side="right")
+            alphas[i, k] = int(per_cell[:below].sum()) / config.n_agents
+    return alphas
+
+
+class TestReferenceDraws:
+    @pytest.mark.parametrize("n_agents", [1, 2, 1000, 10**6])
+    @pytest.mark.parametrize("n_reps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("passed", [1, 3, 17])
+    def test_rows_are_one_multinomial_draw_per_replication(
+        self, rng_calls, n_agents, n_reps, passed
+    ):
+        # passed thetas lie inside the ramp, ascending, so their thresholds
+        # descend and are sorted before the cells are cut; with them go
+        # thetas that count every agent or none, and a NaN.
+        config = SimConfig(n_agents=n_agents, n_reps=n_reps, master_seed=n_reps)
+        thetas = np.concatenate([[0.0, math.nan], np.linspace(0.55, 1.45, passed), [3.0]])
+        got = _attack_fractions(HALF, thetas, 1.0, config)
+        in_order = [(_sub_seed(n_reps, _STREAM_REPS, k),) for k in range(n_reps)]
+        assert rng_calls == in_order
+        assert np.array_equal(got, ref_attack_fractions(HALF, thetas, 1.0, config))
+
+    @pytest.mark.parametrize("n_agents", [3, 10**6])
+    @pytest.mark.parametrize("n_reps", [1, 4])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_a_permuted_grid_permutes_the_rows(self, n_agents, n_reps, ties):
+        # The cells depend on the grid's thresholds, not on its order. Tied
+        # thetas, and thetas an ulp apart, share a bound or cut empty cells.
+        thetas = np.linspace(0.6, 1.4, 9)
+        if ties:
+            thetas = np.array([*thetas.tolist(), 1.0, 1.0, *_around(0.8, 1.2)])
+        config = SimConfig(n_agents=n_agents, n_reps=n_reps, master_seed=13)
+        order = np.random.default_rng(n_agents + n_reps).permutation(thetas.size)
+        rows = _attack_fractions(HALF, thetas, 1.0, config)
+        assert np.array_equal(_attack_fractions(HALF, thetas[order], 1.0, config), rows[order])
+        assert np.array_equal(rows, ref_attack_fractions(HALF, thetas, 1.0, config))
+
+
 _LATTICE_SIGMAS = [5e-324, 1e-300, 1e-10, 0.5, 3.0, 8e307]
 
 
