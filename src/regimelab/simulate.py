@@ -12,20 +12,19 @@ Replications are seeded independently: a counter-based mix (splitmix64) of
 the master seed, a stream tag, and the replication index yields each
 sub-seed, so results are bit-identical across runs. Each replication makes
 one draw, shared by every theta of a grid (common random numbers), so its
-counts never rise as theta does. Rounding is monotone, so fl(theta + eps)
-<= x_cutoff holds exactly when eps is at or below theta's threshold, found
-once per run by bisection over the doubles of the support [-sigma, sigma].
-A theta where all of the support attacks or none of it does is counted
-without a draw. The others are counted on the sampler's own lattice: numpy
-draws eps as -sigma + 2*sigma*u, with u = k * 2**-53 uniform on k in
-[0, 2**53), and that map is monotone too, so eps is at or below a
-threshold exactly when u is at or below its lattice bound, and one agent
-attacks with the exact probability p_theta of uniform(), rounding
-included. A replication is one multinomial draw of n_agents over the
-lattice cells between the ascending bounds: each theta's count, a
-cumulative sum, is Binomial(n_agents, p_theta), as n_agents compared
-signals give, in work that does not grow with n_agents. A theta's draws
-depend on the grid around it, whose thresholds set the cells.
+counts never rise as theta does. A theta where every signal of the
+support [-sigma, sigma] attacks, or none does, is counted without a draw.
+The others are counted on the sampler's own lattice: numpy draws eps as
+-sigma + 2*sigma*u, with u = k * 2**-53 uniform on k in [0, 2**53), and
+both that map and the rounding of theta + eps are monotone in k, so the
+signals that attack are those drawn at or below one lattice bound, found
+once per run by bisection over k. One agent attacks with the exact
+probability p_theta of uniform(), rounding included. A replication is one
+multinomial draw of n_agents over the lattice cells between the ascending
+bounds: each theta's count, a cumulative sum, is Binomial(n_agents,
+p_theta), as n_agents compared signals give, in work that does not grow
+with n_agents. A theta's draws depend on the grid around it, whose bounds
+set the cells.
 
 A run fills one (theta, replication) matrix of attack fractions, theta-major,
 and reduces it row by row into one SimOutcome: float fields for a scalar
@@ -41,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, float_or_array, policymaker_payoff
+from .model import ModelParams, float_or_array, policymaker_payoff, quiet_overflow
 from .signaling import SignalingEquilibrium
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -104,62 +103,43 @@ class SimOutcome:
     welfare_mean: float | np.ndarray
 
 
-def _flip(bits: np.ndarray) -> np.ndarray:
-    """Map float64 bit patterns (as int64) to keys in the doubles' order, and back."""
-    return np.where(bits < 0, bits ^ 0x7FFFFFFFFFFFFFFF, bits)
+def _lattice_bounds(thetas: np.ndarray, x_cutoff: float, low: float, span: float) -> np.ndarray:
+    """For each theta, the largest u = k * 2**-53 in [0, 1) whose signal attacks:
+    theta + (low + span*u) <= x_cutoff, in numpy's float arithmetic.
 
-
-def _thresholds(thetas: np.ndarray, x_cutoff: float, low: float, high: float) -> np.ndarray:
-    """For each theta, the largest eps in [low, high] with fl(theta + eps) <= x_cutoff:
-    high where eps = high attacks, NaN where eps = low does not (NaN input included).
-
-    The rest come from one bisection over the doubles' int64 keys, in at most
-    64 rounds; its midpoint and loop test cannot overflow, as hi - lo can.
+    low + span*u is the eps that uniform(low, low + span) makes of random()'s
+    draw u, and both roundings are monotone in k, so the draws that attack
+    are those at or below the bound. One bisection over the integers k in
+    [0, 2**53], 53 rounds; k = 2**53 (u = 1) is never drawn. A theta whose
+    draw u = 0 does not attack gets 0.
     """
-    t = np.where(thetas + high <= x_cutoff, high, np.nan)
-    inner = np.flatnonzero((thetas + low <= x_cutoff) & np.isnan(t))
-    th = thetas[inner]
-    lo = np.full(inner.size, _flip(np.array(low).view(np.int64)))
-    hi = np.full(inner.size, _flip(np.array(high).view(np.int64)))
-    while np.any(lo < hi - 1):
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        attack = th + _flip(mid).view(np.float64) <= x_cutoff
-        lo = np.where(attack, mid, lo)
-        hi = np.where(attack, hi, mid)
-    t[inner] = _flip(lo).view(np.float64)
-    return t
-
-
-def _lattice_bounds(t: np.ndarray, low: float, span: float) -> np.ndarray:
-    """For each threshold t >= low, the largest u = k * 2**-53 in [0, 1) with
-    low + span*u <= t, in numpy's float arithmetic.
-
-    That is the draw u of random() whose eps = low + span*u, as uniform(low,
-    low + span) computes it, is the last at or below t. One bisection over
-    the integers k in [0, 2**53], 53 rounds; k = 2**53 (u = 1) is never drawn.
-    """
-    lo = np.zeros(t.size, dtype=np.int64)
-    hi = np.full(t.size, 1 << 53, dtype=np.int64)
+    lo = np.zeros(thetas.size, dtype=np.int64)
+    hi = np.full(thetas.size, 1 << 53, dtype=np.int64)
     while np.any(lo < hi - 1):
         mid = (lo + hi) >> 1
-        below = low + span * (mid * 2.0**-53) <= t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        attack = thetas + (low + span * (mid * 2.0**-53)) <= x_cutoff
+        lo = np.where(attack, mid, lo)
+        hi = np.where(attack, hi, mid)
     return lo * 2.0**-53
 
 
+# A signal theta + eps past the float range is +-inf, which still compares
+# with the cutoff exactly, so its overflow is silent.
+@quiet_overflow
 def _attack_fractions(
     params: ModelParams, thetas: np.ndarray, x_cutoff: float, config: SimConfig
 ) -> np.ndarray:
     """The (theta, replication) matrix of sample attack fractions.
 
-    The thresholds inside the support, in ascending order, cut the lattice
-    into cells; an agent attacks at the i-th of them with probability
-    p_i = (k_i + 1) * 2**-53 for its bound k_i * 2**-53. Each replication is
-    one multinomial draw of n_agents over the cells, and the count at a
-    threshold is the cumulative sum up to its cell. Nothing is drawn when
-    no threshold is inside, as for an empty grid. Past _MAX_CELLS, the
-    matrix is refused unallocated.
+    A theta where every signal attacks counts n_agents, and one where none
+    does (a NaN theta or cutoff included) counts 0. The lattice bounds of
+    the others, in ascending order, cut the lattice into cells; an agent
+    attacks at the i-th of them with probability p_i = (k_i + 1) * 2**-53
+    for its bound k_i * 2**-53. Each replication is one multinomial draw of
+    n_agents over the cells, and a theta's count is the cumulative sum up
+    to its cell: tied bounds cut empty cells, so their order changes no
+    count. Nothing is drawn when no theta is drawn for, as for an empty
+    grid. Past _MAX_CELLS, the matrix is refused unallocated.
     """
     if thetas.size * config.n_reps > _MAX_CELLS:
         raise DomainError(
@@ -172,18 +152,19 @@ def _attack_fractions(
     sigma = params.sigma
     if not math.isfinite(2.0 * sigma):
         raise DomainError(f"noise width 2*sigma overflows at sigma = {sigma:g}")
-    t = _thresholds(thetas, x_cutoff, -sigma, sigma)
-    alphas[t == sigma] = config.n_agents
-    inner = np.flatnonzero(t < sigma)
-    if inner.size:
-        inner = inner[np.argsort(t[inner])]  # ascending, so no cell is negative
+    every = thetas + sigma <= x_cutoff
+    drawn = np.flatnonzero((thetas - sigma <= x_cutoff) & ~every)
+    p = _lattice_bounds(thetas[drawn], x_cutoff, -sigma, 2.0 * sigma) + 2.0**-53
+    alphas[every] = config.n_agents
+    if drawn.size:
+        order = np.argsort(p)  # ascending, so no cell is negative
+        drawn, p = drawn[order], p[order]
         # Each p_i and each difference of two is a multiple of 2**-53 in
         # [0, 1], so exact: the cells sum to exactly 1.
-        p = _lattice_bounds(t[inner], -sigma, 2.0 * sigma) + 2.0**-53
         cells = np.diff(p, prepend=0.0, append=1.0)
         for k in range(config.n_reps):
             rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
-            alphas[inner, k] = np.cumsum(rng.multinomial(config.n_agents, cells)[:-1])
+            alphas[drawn, k] = np.cumsum(rng.multinomial(config.n_agents, cells)[:-1])
     alphas /= config.n_agents
     return alphas
 

@@ -58,6 +58,8 @@ def _broken_promises(argv: list[str], fmt: str) -> list[str]:
         broken.append(f"exit code {code}")
     if code == 2 and stderr.count("\n") != 1:
         broken.append(f"exit 2 with stderr {stderr!r}")
+    if code == 0 and stderr:
+        broken.append(f"exit 0 with stderr {stderr!r}")
     if _NOT_FINITE_TOKEN.search(stdout):
         broken.append("a non-finite token on stdout")
     if fmt == "json" and stdout:
@@ -82,6 +84,19 @@ def test_every_extreme_parameter_point_keeps_the_contract(command, fmt):
         for line in _broken_promises(_argv(command, sigma, rbar), fmt)
     ]
     assert broken == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_signal_past_the_float_range_gives_an_answer(fmt):
+    # theta + eps overflows to inf for eps near sigma, and inf is past the
+    # cutoff: about half the agents attack, and nothing warns.
+    argv = ["simulate", "--sigma", "8e307", "--rbar", "0.2", "--r", "0.25",
+            "--x-cutoff", "1.7e308", "--theta", "1.7e308", "--agents", "100", "--reps", "3"]
+    assert _broken_promises(argv, fmt) == []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run([*argv, "--format", fmt]) == 0
+    assert "0.513333333" in out.getvalue()
 
 
 _COMMANDS = ["continuation", "continuation-iterated", "signaling", "welfare-sweep", "compare",

@@ -16,7 +16,11 @@ compare tables and the two benchmark workloads from the writer that built
 the whole table before writing it, before tables came to be written block
 by block. The six simulate goldens were recorded again when a replication
 came to be one multinomial draw over the lattice cells, in place of one
-uniform draw per agent.
+uniform draw per agent. The mc-grid and verify-grid benchmark workloads and
+the subnormal and 1e300 noise supports were recorded from the two-step
+search (each threshold a double found by bisection over the doubles, then
+its lattice point), before each bound came from one bisection over the
+lattice.
 Any change to the printed bytes, in a number's last digit, a row's order
 or the JSON layout, fails here. A deliberate output change must update the
 digest and say why in CHANGES.md.
@@ -31,6 +35,10 @@ from regimelab import run
 _SWEEP = ["--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0", "--theta", "0:7:0.01"]
 _COMPARE = ["--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
             "--theta", "0:7:0.01"]
+_VERIFY_SIGMAS = "0.1,0.2,0.35,0.5,0.75,1,1.5,2,3,4,5,6,8,10,12,15,20"
+_VERIFY_RBARS = (
+    "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9"
+)
 
 GOLDENS = {
     # The six README commands.
@@ -175,7 +183,19 @@ GOLDENS = {
          "--theta", "0:3.3:0.0001", "--format", "json"],
         "71487f91e4673393840a63fbf552881c06550dfdebde6e2077c76098d5ae9119", 8109653,
     ),
-    # The argv of the sweep-dense and compare-json benchmark workloads.
+    # At sigma = 5e-324 the noise support holds three doubles, -sigma, 0 and
+    # sigma; at sigma = 1e300 the lattice steps by 2.2e284.
+    "simulate-subnormal-csv": (
+        ["simulate", "--sigma", "5e-324", "--rbar", "0.2", "--r", "0.25", "--x-cutoff", "0",
+         "--theta=-1e-323:1e-323:5e-324", "--agents", "1000", "--reps", "3"],
+        "ce0e3dbc540ca6776c3f908a49265d0ca99cbec0a481a254db7f9b58b937b421", 532,
+    ),
+    "simulate-1e300-csv": (
+        ["simulate", "--sigma", "1e300", "--rbar", "0.2", "--r", "0.25",
+         "--theta=-2e300:2e300:2.5e299", "--agents", "1000", "--reps", "3"],
+        "972e9801d95df8005eff64a96c7bb354ce5af9d12537c260b10101ad36fe1cc8", 1410,
+    ),
+    # The argv of the four benchmark workloads, mc-grid at its default seed.
     "sweep-dense-csv": (
         ["welfare-sweep", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.5,0.8,1.0",
          "--theta", "0:7:0.0001"],
@@ -185,6 +205,15 @@ GOLDENS = {
         ["compare", "--sigma", "3", "--rbar", "0.2", "--rprime", "0.8", "--rprime-hi", "0.9",
          "--theta", "0:7:0.0001", "--format", "json"],
         "e712f1238791bc3ac0d965fd378c1665f4e115a1abd6a2c339391f35246971c5", 17196323,
+    ),
+    "mc-grid-csv": (
+        ["simulate", "--sigma", "0.5", "--rbar", "0.2", "--r", "0.25", "--theta", "0:1:0.05",
+         "--agents", "1000000", "--reps", "20", "--seed", "42"],
+        "a68b16ea885dcf7b0fde0b535fe925ba82b347e6a2ad068f75644ea87bc8e3b3", 1606,
+    ),
+    "verify-grid-json": (
+        ["verify", "--sigma", _VERIFY_SIGMAS, "--rbar", _VERIFY_RBARS],
+        "0ebc1351e21e1d3e49fc60c139c5d44034bc2f4452a069bdae0310f45a6acc8f", 2537,
     ),
 }
 

@@ -27,7 +27,6 @@ from regimelab.simulate import (
     _lattice_bounds,
     _row_means,
     _sub_seed,
-    _thresholds,
 )
 
 HALF = ModelParams(sigma=0.5, r_lower=0.2)
@@ -302,31 +301,35 @@ class TestGridMatchesPerThetaCode:
         assert rng_calls == []
 
 
-def _attack_counts(panel: np.ndarray, thetas: np.ndarray, x_cutoff: float) -> np.ndarray:
-    """For each theta, how many eps of the panel (in any order) give fl(theta + eps) <= x_cutoff."""
-    high = panel.max()
-    t = _thresholds(thetas, x_cutoff, panel.min(), high)
-    counts = np.where(t == high, panel.size, 0)
-    inner = t < high
-    counts[inner] = [np.count_nonzero(panel <= v) for v in t[inner].tolist()]
-    return counts
+def drawn_for(thetas, x_cutoff, sigma):
+    """The thetas that take a lattice bound: some signal of [-sigma, sigma] attacks
+    (eps = -sigma does), and not every one (eps = sigma does not)."""
+    return (thetas - sigma <= x_cutoff) & ~(thetas + sigma <= x_cutoff)
 
 
-def brute_counts(sorted_eps, thetas, x_cutoff):
+def _attack_counts(u: np.ndarray, thetas: np.ndarray, x_cutoff: float, sigma: float) -> np.ndarray:
+    """For each theta, how many draws u are at or below its lattice bound under
+    uniform(-sigma, sigma); none where even the draw u = 0 does not attack."""
+    bounds = _lattice_bounds(thetas, x_cutoff, -sigma, 2.0 * sigma)
+    counts = np.array([np.count_nonzero(u <= b) for b in bounds.tolist()], dtype=int)
+    return np.where(thetas - sigma <= x_cutoff, counts, 0)
+
+
+def brute_counts(eps, thetas, x_cutoff):
     """Compare every signal with the cutoff, as the Monte Carlo once did."""
-    return np.count_nonzero(thetas[:, None] + sorted_eps[None, :] <= x_cutoff, axis=1)
+    return np.count_nonzero(thetas[:, None] + eps[None, :] <= x_cutoff, axis=1)
 
 
-def panel(sigma, n, seed=0):
-    """The first replication's n draws of the Monte Carlo's stream, sorted."""
-    eps = np.random.default_rng(_sub_seed(seed, _STREAM_REPS, 0)).uniform(-sigma, sigma, n)
-    eps.sort()
-    return eps
+def draws(sigma, n, seed=0):
+    """The first replication's n random() draws u of the Monte Carlo's stream, and
+    the eps = -sigma + 2*sigma*u that uniform(-sigma, sigma) makes of them."""
+    u = np.random.default_rng(_sub_seed(seed, _STREAM_REPS, 0)).random(n)
+    return u, -sigma + 2.0 * sigma * u
 
 
-def tie_thetas(sorted_eps, x_cutoff):
+def tie_thetas(eps, x_cutoff):
     """x - eps_j for every agent j, and one ulp either side: each lands on or next to a tie."""
-    return np.array(_around(*(x_cutoff - sorted_eps).tolist()))
+    return np.array(_around(*(x_cutoff - eps).tolist()))
 
 
 class TestAttackCounts:
@@ -334,116 +337,125 @@ class TestAttackCounts:
     @pytest.mark.parametrize("x_cutoff", [1.0, 1.0 + 1e6, 1.0 - 1e6, 1e15])
     def test_ties_match_comparing_every_signal(self, sigma, x_cutoff):
         # Far from zero, x - theta rounds, so x - eps_j is no exact tie and a
-        # search for x - theta in the panel can land an agent or more off.
-        eps = panel(sigma, 64)
+        # search for x - theta among the eps can land an agent or more off.
+        u, eps = draws(sigma, 64)
         thetas = tie_thetas(eps, x_cutoff)
-        assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+        assert np.array_equal(_attack_counts(u, thetas, x_cutoff, sigma),
                               brute_counts(eps, thetas, x_cutoff))
 
     @pytest.mark.parametrize("sigma", [1e-10, 0.5])
     @pytest.mark.parametrize("center", [1e6, -1e6, 1e15])
     def test_theta_where_x_minus_theta_rounds(self, sigma, center):
-        eps = panel(sigma, 257, seed=3)
+        u, eps = draws(sigma, 257, seed=3)
         x_cutoff = center + 0.3
         thetas = np.array([center + d for d in np.linspace(-2 * sigma - 1.0, 2 * sigma + 1.0, 401)]
                           + _around(center, x_cutoff))
-        assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+        assert np.array_equal(_attack_counts(u, thetas, x_cutoff, sigma),
                               brute_counts(eps, thetas, x_cutoff))
 
     def test_heavy_duplicates(self):
-        # At sigma = 5e-324 the panel holds a few distinct subnormals, each
+        # At sigma = 5e-324 the draws give a few distinct subnormals, each
         # many times over.
-        eps = panel(5e-324, 500, seed=1)
+        u, eps = draws(5e-324, 500, seed=1)
         assert len(np.unique(eps)) <= 3 < len(eps)
         thetas = np.array(_around(0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1.0))
         for x_cutoff in (0.0, 5e-324, -5e-324, 1.0):
-            assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+            assert np.array_equal(_attack_counts(u, thetas, x_cutoff, 5e-324),
                                   brute_counts(eps, thetas, x_cutoff))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
     def test_every_count_at_small_sizes(self, n):
-        # Each count 0..n occurs, at the prefix's end and one ulp either side.
-        eps = panel(0.5, n, seed=n)
+        # Each count 0..n occurs, at a tie and one ulp either side.
+        u, eps = draws(0.5, n, seed=n)
         thetas = np.concatenate([tie_thetas(eps, 1.0), [-10.0, 10.0, 1.0]])
-        got = _attack_counts(eps, thetas, 1.0)
+        got = _attack_counts(u, thetas, 1.0, 0.5)
         assert np.array_equal(got, brute_counts(eps, thetas, 1.0))
         assert set(got.tolist()) == set(range(n + 1))
 
     def test_empty_theta_and_one_agent(self):
-        eps = panel(0.5, 1)
-        assert _attack_counts(eps, np.array([]), 1.0).shape == (0,)
+        u, eps = draws(0.5, 1)
+        assert _attack_counts(u, np.array([]), 1.0, 0.5).shape == (0,)
         thetas = np.array([-10.0, *_around(1.0 - eps[0]), 10.0])
-        got = _attack_counts(eps, thetas, 1.0)
+        got = _attack_counts(u, thetas, 1.0, 0.5)
         assert np.array_equal(got, brute_counts(eps, thetas, 1.0))
         assert got[0] == 1 and got[-1] == 0
 
     def test_nan_attacks_nowhere(self):
-        eps = panel(0.5, 10)
-        assert _attack_counts(eps, np.array([math.nan, 0.0]), 1.0).tolist() == [0, 10]
-        assert _attack_counts(eps, np.array([0.0]), math.nan).tolist() == [0]
+        u, _ = draws(0.5, 10)
+        thetas = np.array([math.nan, -math.inf, math.inf, 0.0])
+        assert _attack_counts(u, thetas, 1.0, 0.5).tolist() == [0, 10, 0, 10]
+        assert _attack_counts(u, np.array([0.0]), math.nan, 0.5).tolist() == [0]
 
 
-class TestThresholds:
-    """The exact thresholds behind _attack_counts, on panels in any order."""
+class TestLatticeBounds:
+    """The lattice bounds behind _attack_counts, against every signal compared."""
 
     @pytest.mark.parametrize("sigma", [1e-10, 0.5, 1.5, 3.0, 1e8])
     @pytest.mark.parametrize("x_cutoff", [1.0, 0.0, 1e6])
-    def test_unsorted_panels(self, sigma, x_cutoff):
-        rng = np.random.default_rng(17)
-        eps = rng.uniform(-sigma, sigma, 300)
+    def test_ties_and_a_grid_across_the_support(self, sigma, x_cutoff):
+        u = np.random.default_rng(17).random(300)
+        eps = -sigma + 2.0 * sigma * u
         thetas = np.concatenate([tie_thetas(eps[:40], x_cutoff),
                                  x_cutoff + np.linspace(-2 * sigma, 2 * sigma, 101)])
-        before = eps.copy()
-        assert np.array_equal(_attack_counts(eps, thetas, x_cutoff),
+        assert np.array_equal(_attack_counts(u, thetas, x_cutoff, sigma),
                               brute_counts(eps, thetas, x_cutoff))
-        assert np.array_equal(eps, before)  # the caller's panel is left in its order
 
     def test_rounding_regime(self):
         # ulp(1e6) = 1.16e-10 > sigma: every fl(theta + eps) is one of three
         # doubles, so the share that attacks is far off the ramp, and exact.
-        eps = np.random.default_rng(5).uniform(-1e-10, 1e-10, 1000)
+        u = np.random.default_rng(5).random(1000)
+        eps = -1e-10 + 2e-10 * u
         thetas = np.array(_around(1e6, 1e6 - 1e-10, 1e6 + 1e-10))
-        got = _attack_counts(eps, thetas, 1e6)
+        got = _attack_counts(u, thetas, 1e6, 1e-10)
         assert np.array_equal(got, brute_counts(eps, thetas, 1e6))
-        assert 0 < got[1] < eps.size
+        assert 0 < got[1] < u.size
 
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 1e3, 1e300])
-    def test_brackets_spanning_zero_where_the_key_difference_overflows(self, sigma):
-        # The keys of -sigma and sigma are -1 - b and b, with b the bits of
-        # sigma, so hi - lo = 2b + 1 passes the int64 range from sigma = 2 on.
-        b = int(np.array(sigma).view(np.int64))
-        assert (2 * b + 1 > 2**63 - 1) == (sigma >= 2.0)
-        eps = np.concatenate([panel(sigma, 200, seed=2), [-sigma, 0.0, -0.0, sigma]])
-        np.random.default_rng(0).shuffle(eps)
+    def test_supports_spanning_zero(self, sigma):
+        # With the draws go u = 0, 1/2 and the last lattice point, whose eps
+        # are -sigma, exactly 0 and the largest eps drawn.
+        u = np.concatenate([draws(sigma, 200, seed=2)[0], [0.0, 0.5, 1.0 - 2.0**-53]])
+        np.random.default_rng(0).shuffle(u)
+        eps = -sigma + 2.0 * sigma * u
+        assert (eps == 0.0).any()
         thetas = np.concatenate([tie_thetas(eps, 0.25), [-2 * sigma, 0.25, 2 * sigma]])
-        assert np.array_equal(_attack_counts(eps, thetas, 0.25),
+        assert np.array_equal(_attack_counts(u, thetas, 0.25, sigma),
                               brute_counts(eps, thetas, 0.25))
-        # 0.25 + 2^-55 ties halfway to the next double and rounds to even, 0.25.
-        assert _thresholds(np.array([0.25]), 0.25, -sigma, sigma)[0] == 2.0**-55
+        # 0.25 + 2^-55 ties halfway to the next double and rounds to even,
+        # 0.25: the bound's eps is the last lattice eps at or below 2^-55.
+        bound = _lattice_bounds(np.array([0.25]), 0.25, -sigma, 2.0 * sigma)[0]
+        assert -sigma + 2.0 * sigma * bound <= 2.0**-55
+        assert -sigma + 2.0 * sigma * (bound + 2.0**-53) > 2.0**-55
 
     @pytest.mark.parametrize("sigma", [1e-10, 0.5, 3.0, 1e15])
-    def test_each_threshold_is_the_last_attacking_double(self, sigma):
+    def test_each_bound_is_the_last_attacking_lattice_point(self, sigma):
+        # The draw k * 2**-53 attacks, and the next lattice point, if any,
+        # does not.
+        low, span = -sigma, 2.0 * sigma
         x_cutoff = 1.0 + sigma / 3
-        thetas = x_cutoff + np.linspace(-1.5 * sigma, 1.5 * sigma, 61)
-        t = _thresholds(thetas, x_cutoff, -sigma, sigma)
-        inner = t < sigma
-        assert np.all(thetas[inner] + t[inner] <= x_cutoff)
-        assert np.all(thetas[inner] + np.nextafter(t[inner], math.inf) > x_cutoff)
-        assert np.all(thetas[t == sigma] + sigma <= x_cutoff)
-        assert np.all(~(thetas[np.isnan(t)] - sigma <= x_cutoff))
-        assert inner.any() and (t == sigma).any() and np.isnan(t).any()
+        thetas = np.array(_around(*(x_cutoff + np.linspace(-1.5 * sigma, 1.5 * sigma, 61))))
+        drawn = drawn_for(thetas, x_cutoff, sigma)
+        assert drawn.any() and not drawn.all()
+        th = thetas[drawn]
+        k = _lattice_bounds(th, x_cutoff, low, span) * 2.0**53
+        assert np.array_equal(k, np.floor(k)) and ((0 <= k) & (k < 2.0**53)).all()
+        assert (th + (low + span * (k * 2.0**-53)) <= x_cutoff).all()
+        below = k < 2.0**53 - 1
+        assert ~(th[below] + (low + span * ((k[below] + 1) * 2.0**-53)) <= x_cutoff).all()
 
-    def test_nan_counts_nowhere(self):
-        t = _thresholds(np.array([math.nan, -math.inf, math.inf, 0.0]), 1.0, -0.5, 0.5)
-        assert t[1] == 0.5 and np.isnan(t[[0, 2]]).all() and t[3] == 0.5
-        assert np.isnan(_thresholds(np.array([0.0, 1.0]), math.nan, -0.5, 0.5)).all()
+    def test_nan_counts_nowhere(self, rng_calls):
+        config = SimConfig(n_agents=10, n_reps=2, master_seed=0)
+        thetas = np.array([math.nan, -math.inf, math.inf, 0.0])
+        got = _attack_fractions(HALF, thetas, 1.0, config)
+        assert got.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+        assert not _attack_fractions(HALF, np.array([0.0, 1.0]), math.nan, config).any()
+        assert rng_calls == []
 
 
 def lattice_probabilities(thetas, x_cutoff, sigma):
     """Each theta's one-agent attack probability under uniform(-sigma, sigma): the
     share (k + 1) / 2**53 of the lattice at or below its bound k * 2**-53."""
-    t = _thresholds(thetas, x_cutoff, -sigma, sigma)
-    return (_lattice_bounds(t, -sigma, 2.0 * sigma) * 2.0**53 + 1) / 2.0**53
+    return (_lattice_bounds(thetas, x_cutoff, -sigma, 2.0 * sigma) * 2.0**53 + 1) / 2.0**53
 
 
 class _CountingGenerator:
@@ -531,7 +543,7 @@ class TestMultinomialDraws:
         config = SimConfig(n_agents=10**6, n_reps=20, master_seed=42)
         thetas = np.linspace(0.0, 1.0, 21)
         simulate_continuation(HALF, 0.25, thetas, 1.0, config)
-        inner = np.count_nonzero(_thresholds(thetas, 1.0, -HALF.sigma, HALF.sigma) < HALF.sigma)
+        inner = np.count_nonzero(drawn_for(thetas, 1.0, HALF.sigma))
         assert inner == 10
         assert 0 < sum(sizes) <= config.n_reps * (inner + 1)
 
@@ -551,8 +563,7 @@ class TestMultinomialDraws:
         config = SimConfig(n_agents=n_agents, n_reps=2, master_seed=n_agents)
         thetas = np.concatenate([[0.0, 0.5, math.nan], np.linspace(0.55, 1.45, 3), [1.6, 3.0]])
         got = _attack_fractions(HALF, thetas, 1.0, config)
-        t = _thresholds(thetas, 1.0, -HALF.sigma, HALF.sigma)
-        assert np.count_nonzero(t < HALF.sigma) == 3
+        assert np.count_nonzero(drawn_for(thetas, 1.0, HALF.sigma)) == 3
         assert got[[0, 1]].tolist() == [[1.0, 1.0]] * 2
         assert got[[2, -2, -1]].tolist() == [[0.0, 0.0]] * 3
 
@@ -562,12 +573,12 @@ def ref_attack_fractions(params, thetas, x_cutoff, config):
     drawn thetas' lattice probabilities in ascending order, and 1; a theta
     counts the agents in every cell at or below its own probability."""
     sigma = params.sigma
-    t = _thresholds(thetas, x_cutoff, -sigma, sigma)
-    drawn = np.flatnonzero(t < sigma)
+    drawn = np.flatnonzero(drawn_for(thetas, x_cutoff, sigma))
     p = lattice_probabilities(thetas[drawn], x_cutoff, sigma)
     upper = np.append(np.sort(p), 1.0)
     cells = np.diff(upper, prepend=0.0)
-    alphas = np.repeat(np.where(t == sigma, 1.0, 0.0)[:, None], config.n_reps, axis=1)
+    every = thetas + sigma <= x_cutoff
+    alphas = np.repeat(np.where(every, 1.0, 0.0)[:, None], config.n_reps, axis=1)
     for k in range(config.n_reps if drawn.size else 0):
         rng = np.random.default_rng(_sub_seed(config.master_seed, _STREAM_REPS, k))
         per_cell = rng.multinomial(config.n_agents, cells)
@@ -584,7 +595,7 @@ class TestReferenceDraws:
     def test_rows_are_one_multinomial_draw_per_replication(
         self, rng_calls, n_agents, n_reps, passed
     ):
-        # passed thetas lie inside the ramp, ascending, so their thresholds
+        # passed thetas lie inside the ramp, ascending, so their bounds
         # descend and are sorted before the cells are cut; with them go
         # thetas that count every agent or none, and a NaN.
         config = SimConfig(n_agents=n_agents, n_reps=n_reps, master_seed=n_reps)
@@ -598,7 +609,7 @@ class TestReferenceDraws:
     @pytest.mark.parametrize("n_reps", [1, 4])
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     def test_a_permuted_grid_permutes_the_rows(self, n_agents, n_reps, ties):
-        # The cells depend on the grid's thresholds, not on its order. Tied
+        # The cells depend on the grid's bounds, not on its order. Tied
         # thetas, and thetas an ulp apart, share a bound or cut empty cells.
         thetas = np.linspace(0.6, 1.4, 9)
         if ties:
@@ -634,9 +645,11 @@ class TestSamplerLattice:
 
     @pytest.mark.parametrize("sigma", _LATTICE_SIGMAS)
     def test_each_bound_is_the_last_lattice_point_at_or_below_t(self, sigma):
+        # fl(eps - t) <= 0 exactly when eps <= t, so at theta = -t and a
+        # cutoff of 0 the draws that attack are those whose eps is at most t.
         low, span = -sigma, 2.0 * sigma
         t = lattice_thresholds(sigma)
-        bounds = _lattice_bounds(t, low, span)
+        bounds = _lattice_bounds(-t, 0.0, low, span)
         k = bounds * 2.0**53
         assert np.array_equal(k, np.floor(k)) and ((0 <= k) & (k < 2.0**53)).all()
         assert (low + span * bounds <= t).all()
@@ -651,41 +664,45 @@ class TestSamplerLattice:
         eps = low + span * u
         t = np.unique(np.concatenate([lattice_thresholds(sigma), eps[:100]]))
         counts = np.array([np.count_nonzero(u <= b)
-                           for b in _lattice_bounds(t, low, span).tolist()])
+                           for b in _lattice_bounds(-t, 0.0, low, span).tolist()])
         assert counts.tolist() == [np.count_nonzero(eps <= v) for v in t.tolist()]
 
     def test_one_agent_attack_probability(self):
         # The rounding case: at sigma = 1e-10 and theta = x = 1e6 each signal
         # rounds to one of three doubles, and one agent attacks with
         # probability (k + 1) / 2**53 for the bound k * 2**-53, not 0.5.
-        sigma = 1e-10
-        t = _thresholds(np.array([1e6]), 1e6, -sigma, sigma)
-        k = _lattice_bounds(t, -sigma, 2.0 * sigma)[0] * 2.0**53
+        k = _lattice_bounds(np.array([1e6]), 1e6, -1e-10, 2e-10)[0] * 2.0**53
         assert (k + 1) / 2.0**53 == 0.791038304567337
         # At sigma = 0.5 the doubles are dense and it is the ramp, to a few
         # lattice steps.
         thetas = np.linspace(0.5, 1.5, 41)
-        t = _thresholds(thetas, 1.0, -HALF.sigma, HALF.sigma)
-        p = (_lattice_bounds(t, -HALF.sigma, 2.0 * HALF.sigma) * 2.0**53 + 1) / 2.0**53
+        p = lattice_probabilities(thetas, 1.0, HALF.sigma)
         assert np.abs(p - attack_mass(HALF, 1.0, thetas)).max() <= 4 * 2.0**-53
 
 
 class TestMemory:
     @pytest.mark.parametrize("n_thetas", [21, 201])
-    def test_peak_holds_one_chunk_not_the_panel(self, n_thetas):
-        # A replication holds one 1 MiB chunk and a pass's 128 KiB mask; a
-        # whole 8 MB panel per replication fails this. A small run first
-        # loads what numpy loads lazily, which is no part of the peak.
+    def test_peak_holds_the_matrix_and_the_cells_not_the_agents(self, n_thetas):
+        # A (theta, replication) cell holds 8 bytes in the attack-fraction
+        # matrix and about 27 more at the peak of scoring it: 40 bytes each.
+        # The K+1 lattice cells and the K bounds' bisection hold eight 8-byte
+        # vectors: 64 bytes per cell. The generator and numpy's small objects
+        # take 8 KiB. A per-replication buffer of one byte per agent fails
+        # this. A small run first loads what numpy loads lazily, which is no
+        # part of the peak.
         grid = np.linspace(0.0, 1.0, n_thetas).tolist()
         simulate_continuation(HALF, 0.25, grid, 1.0, SimConfig(10, 2, 1))
         config = SimConfig(1_000_000, 2, 1)
+        cells = np.count_nonzero(drawn_for(np.array(grid), 1.0, HALF.sigma)) + 1
+        limit = 8192 + 40 * n_thetas * config.n_reps + 64 * cells
+        assert limit < config.n_agents
         tracemalloc.start()
         try:
             simulate_continuation(HALF, 0.25, grid, 1.0, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, peak
+        assert peak < limit, (peak, limit)
 
 
 class TestCalibratedAttackMass:
